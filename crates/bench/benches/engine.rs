@@ -11,9 +11,9 @@
 //! * `overflow_promotion` — events beyond the ring horizon that ride the
 //!   overflow heap and are promoted as the clock advances.
 //!
-//! The CI perf gate does not consume these numbers (it gates on the
-//! quick-suite sim rate, see `engine_gate` in the bench crate); they are
-//! for diagnosing *which* queue regime moved when the gate trips.
+//! Nothing gates on these numbers (end-to-end speed is gated by the
+//! same-host A/B benchmark in `perfbench/`); they are for diagnosing
+//! *which* queue regime moved when that benchmark reports a regression.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mgpu_types::Cycle;

@@ -10,13 +10,8 @@
 //!
 //! The paper-scale experiment runs are produced by the `figures` binary of
 //! the `least-tlb` crate, not by Criterion (they take seconds to minutes
-//! per run and are not statistical microbenchmarks).
-//!
-//! The library part of this crate is the [`engine_gate`] comparator: the
-//! logic behind CI's `bench-engine` job, which fails the build when the
-//! quick-suite sim rate regresses past the committed tolerance. The
-//! `engine-gate` binary (`src/bin/engine-gate.rs`) is its CLI.
+//! per run and are not statistical microbenchmarks). End-to-end host
+//! speed is measured by the same-host A/B benchmark in `perfbench/`
+//! (see `perfbench/README.md`), not here.
 
 #![forbid(unsafe_code)]
-
-pub mod engine_gate;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--quick] [--budget N] [--seed N] [--jobs N]
-//!         [--breakdown] [--metrics-json FILE] [--telemetry-json FILE]
+//!         [--breakdown] [--metrics-json FILE]
 //!         [--timeline] [--timeline-json FILE] [--timeline-window N]
 //!         [--trace-out FILE] [--trace-sample N] [--profile-json FILE]
 //!         [--topology-sweep] [fig14 fig16 ... | all]
@@ -25,11 +25,6 @@
 //! (schema in `EXPERIMENTS.md`). Both outputs are byte-identical across
 //! `--jobs` values: per-runner snapshots merge commutatively and are
 //! combined in input order.
-//!
-//! `--telemetry-json FILE` writes the stderr telemetry table as JSON
-//! (schema `engine-telemetry/v1`) — the input of CI's engine perf gate
-//! (`engine-gate` in the bench crate). Unlike the other outputs it
-//! contains wall-clock measurements and is *not* byte-stable.
 //!
 //! Timeline & profiling: `--timeline` prints each run's epoch-windowed
 //! sparkline phase table to stderr; `--timeline-json FILE` writes every
@@ -56,7 +51,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("figures: {msg}");
     eprintln!(
         "usage: figures [--quick] [--budget N] [--seed N] [--jobs N] \
-         [--breakdown] [--metrics-json FILE] [--telemetry-json FILE] \
+         [--breakdown] [--metrics-json FILE] \
          [--timeline] [--timeline-json FILE] [--timeline-window N] \
          [--trace-out FILE] [--trace-sample N] [--profile-json FILE] \
          [--topology-sweep] [experiments... | all]"
@@ -82,7 +77,6 @@ fn main() {
     let mut jobs = 1usize;
     let mut breakdown = false;
     let mut metrics_json: Option<String> = None;
-    let mut telemetry_json: Option<String> = None;
     let mut timeline = false;
     let mut timeline_json: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -121,13 +115,6 @@ fn main() {
                     usage_error("--metrics-json takes an output path, e.g. --metrics-json m.json")
                 }));
             }
-            "--telemetry-json" => {
-                telemetry_json = Some(args.next().unwrap_or_else(|| {
-                    usage_error(
-                        "--telemetry-json takes an output path, e.g. --telemetry-json t.json",
-                    )
-                }));
-            }
             "--timeline" => timeline = true,
             "--timeline-json" => {
                 timeline_json = Some(args.next().unwrap_or_else(|| {
@@ -163,7 +150,7 @@ fn main() {
             "all" => wanted.extend(ALL_EXPERIMENTS.iter().map(std::string::ToString::to_string)),
             other if other.starts_with('-') => usage_error(&format!(
                 "unknown flag '{other}'; accepted flags are --quick, --budget N, --seed N, \
-                 --jobs N, --breakdown, --metrics-json FILE, --telemetry-json FILE, \
+                 --jobs N, --breakdown, --metrics-json FILE, \
                  --timeline, --timeline-json FILE, --timeline-window N, --trace-out FILE, \
                  --trace-sample N, --profile-json FILE, --topology-sweep"
             )),
@@ -261,13 +248,7 @@ fn main() {
     }
     eprintln!("==== telemetry ({jobs} jobs) ====");
     eprintln!("{}", telemetry_table(&outcomes));
-    let total_wall = total.elapsed().as_secs_f64();
-    if let Some(path) = &telemetry_json {
-        let json = telemetry_json_report(&outcomes, jobs, total_wall);
-        std::fs::write(path, json).expect("telemetry file writes");
-        eprintln!("wrote telemetry report to {path}");
-    }
-    eprintln!("total wall time: {total_wall:.1}s");
+    eprintln!("total wall time: {:.1}s", total.elapsed().as_secs_f64());
 }
 
 /// Renders every run's timeline as one JSON document (schema
@@ -335,59 +316,4 @@ fn write_traces(base: &str, outcomes: &[least_tlb::experiments::SuiteOutcome]) {
         }
     }
     eprintln!("wrote {files} Perfetto trace files (load at https://ui.perfetto.dev)");
-}
-
-/// Renders the suite telemetry as the JSON document the CI engine gate
-/// consumes (schema `engine-telemetry/v1`; see `bench::engine_gate`).
-fn telemetry_json_report(
-    outcomes: &[least_tlb::experiments::SuiteOutcome],
-    jobs: usize,
-    total_wall: f64,
-) -> String {
-    use serde::Serialize;
-
-    #[derive(Serialize)]
-    struct Entry {
-        name: String,
-        wall_seconds: f64,
-        sims: u64,
-        instructions: u64,
-        events: u64,
-        sim_rate_minstr_per_s: f64,
-    }
-
-    #[derive(Serialize)]
-    struct Report {
-        schema: &'static str,
-        jobs: usize,
-        total_wall_seconds: f64,
-        total: Entry,
-        experiments: Vec<Entry>,
-    }
-
-    let entry = |name: &str, t: &least_tlb::experiments::RunnerTelemetry| Entry {
-        name: name.to_string(),
-        wall_seconds: t.wall_seconds,
-        sims: t.sims,
-        instructions: t.instructions,
-        events: t.events,
-        sim_rate_minstr_per_s: t.sim_rate() / 1e6,
-    };
-    let mut total = least_tlb::experiments::RunnerTelemetry::default();
-    let mut experiments = Vec::new();
-    for o in outcomes {
-        total.wall_seconds += o.telemetry.wall_seconds;
-        total.sims += o.telemetry.sims;
-        total.instructions += o.telemetry.instructions;
-        total.events += o.telemetry.events;
-        experiments.push(entry(&o.name, &o.telemetry));
-    }
-    let report = Report {
-        schema: "engine-telemetry/v1",
-        jobs,
-        total_wall_seconds: total_wall,
-        total: entry("TOTAL", &total),
-        experiments,
-    };
-    serde_json::to_string_pretty(&report).expect("serializable")
 }

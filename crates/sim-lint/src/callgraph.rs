@@ -20,7 +20,6 @@
 //! imprecision budget.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 
 use crate::model::{CallKind, FileModel};
 
@@ -154,19 +153,35 @@ pub fn build(models: &[FileModel]) -> CallGraph {
 
     // BFS from the dispatch roots over the edge set.
     let roots: Vec<usize> = roots_set.into_iter().collect();
-    let mut g = CallGraph {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
+    for &(a, b) in &edges {
+        adj[a].push(b);
+    }
+    let mut hot = vec![false; fns.len()];
+    let mut parent = vec![None; fns.len()];
+    let mut q: VecDeque<usize> = VecDeque::new();
+    for &r in &roots {
+        hot[r] = true;
+        q.push_back(r);
+    }
+    while let Some(u) = q.pop_front() {
+        for &v in &adj[u] {
+            if !hot[v] {
+                hot[v] = true;
+                parent[v] = Some(u);
+                q.push_back(v);
+            }
+        }
+    }
+    CallGraph {
         fns,
         offsets,
         edges,
         calls,
         roots,
-        hot: Vec::new(),
-        parent: Vec::new(),
-    };
-    let (hot, parent) = g.reach(&g.roots.clone());
-    g.hot = hot;
-    g.parent = parent;
-    g
+        hot,
+        parent,
+    }
 }
 
 impl CallGraph {
@@ -182,54 +197,16 @@ impl CallGraph {
             .map(|(g, _)| g)
     }
 
-    /// Forward reachability from an arbitrary seed set over the edge
-    /// set: `(reached, bfs_parent)` masks parallel to `fns`. The hot
-    /// mask uses this with the dispatch roots as seeds; the par pass
-    /// reuses it with spawn-closure callees.
+    /// A `root → ... → fn` chain for a hot function, via the BFS tree.
     #[must_use]
-    pub fn reach(&self, seeds: &[usize]) -> (Vec<bool>, Vec<Option<usize>>) {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.fns.len()];
-        for &(a, b) in &self.edges {
-            adj[a].push(b);
-        }
-        let mut seen = vec![false; self.fns.len()];
-        let mut parent = vec![None; self.fns.len()];
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for &r in seeds {
-            if !seen[r] {
-                seen[r] = true;
-                q.push_back(r);
-            }
-        }
-        while let Some(u) = q.pop_front() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = Some(u);
-                    q.push_back(v);
-                }
-            }
-        }
-        (seen, parent)
-    }
-
-    /// A `seed → ... → fn` chain through a BFS tree produced by
-    /// [`CallGraph::reach`].
-    #[must_use]
-    pub fn chain_via(&self, parent: &[Option<usize>], mut idx: usize) -> String {
+    pub fn hot_path(&self, mut idx: usize) -> String {
         let mut chain = vec![self.fns[idx].qual_name()];
-        while let Some(p) = parent[idx] {
+        while let Some(p) = self.parent[idx] {
             chain.push(self.fns[p].qual_name());
             idx = p;
         }
         chain.reverse();
         chain.join(" -> ")
-    }
-
-    /// A `root → ... → fn` chain for a hot function, via the BFS tree.
-    #[must_use]
-    pub fn hot_path(&self, idx: usize) -> String {
-        self.chain_via(&self.parent, idx)
     }
 
     /// `(functions, edges, roots, hot)` counts for the JSON summary.
@@ -242,99 +219,6 @@ impl CallGraph {
             self.hot.iter().filter(|h| **h).count(),
         )
     }
-
-    /// Stable node keys, parallel to `fns`: `file::Owner::name` (owner
-    /// omitted for free fns), with `#2`, `#3`, ... suffixes breaking
-    /// same-file same-name collisions in declaration order. Line numbers
-    /// are deliberately absent so a pure line-shift edit leaves every key
-    /// — and the committed golden DOT — unchanged.
-    #[must_use]
-    pub fn stable_keys(&self) -> Vec<String> {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        self.fns
-            .iter()
-            .map(|f| {
-                let base = format!("{}::{}", f.file, f.qual_name());
-                let n = counts.entry(base.clone()).or_insert(0);
-                *n += 1;
-                if *n == 1 {
-                    base
-                } else {
-                    format!("{base}#{n}")
-                }
-            })
-            .collect()
-    }
-
-    /// Deterministic DOT rendering: nodes in index order keyed by
-    /// [`CallGraph::stable_keys`], dispatch roots double-bordered, hot
-    /// nodes shaded, edges in sorted order. Declaration lines appear only
-    /// as a `line=N` attribute, which [`strip_line_attrs`] removes before
-    /// golden comparison so line-shift edits don't churn the snapshot.
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        let (nf, ne, nr, nh) = self.summary();
-        let keys = self.stable_keys();
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph callgraph {{");
-        let _ = writeln!(out, "  rankdir=LR;");
-        let _ = writeln!(
-            out,
-            "  node [fontname=\"monospace\", shape=box, fontsize=10];"
-        );
-        let _ = writeln!(
-            out,
-            "  label=\"workspace call graph: {nf} fns, {ne} edges, {nr} dispatch roots, {nh} hot\";"
-        );
-        for (g, f) in self.fns.iter().enumerate() {
-            let mut attrs = String::new();
-            if self.roots.contains(&g) {
-                attrs.push_str(", peripheries=2, color=red");
-            } else if self.hot[g] {
-                attrs.push_str(", style=filled, fillcolor=lightyellow");
-            }
-            let _ = writeln!(
-                out,
-                "  \"{}\" [label=\"{}\", line={}{attrs}];",
-                esc(&keys[g]),
-                esc(&f.qual_name()),
-                f.line
-            );
-        }
-        for &(a, b) in &self.edges {
-            let _ = writeln!(out, "  \"{}\" -> \"{}\";", esc(&keys[a]), esc(&keys[b]));
-        }
-        let _ = writeln!(out, "}}");
-        out
-    }
-}
-
-/// Remove every `, line=N` attribute from a DOT document — the
-/// line-number-free form committed as the golden snapshot (CI applies the
-/// same strip via `sed` before byte-comparing).
-#[must_use]
-pub fn strip_line_attrs(dot: &str) -> String {
-    const NEEDLE: &str = ", line=";
-    let mut out = String::with_capacity(dot.len());
-    let mut rest = dot;
-    while let Some(pos) = rest.find(NEEDLE) {
-        let after = &rest[pos + NEEDLE.len()..];
-        let digits = after.len() - after.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-        if digits == 0 {
-            out.push_str(&rest[..pos + NEEDLE.len()]);
-            rest = after;
-        } else {
-            out.push_str(&rest[..pos]);
-            rest = &after[digits..];
-        }
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Escape a string for use inside a double-quoted DOT label.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -410,39 +294,5 @@ mod tests {
         assert_eq!(g.fns[at].qual_name(), "Sys::run");
         assert!(g.fn_at("a.rs", 999).is_none());
         assert!(g.fn_at("other.rs", 3).is_none());
-    }
-
-    #[test]
-    fn dot_is_deterministic_and_marks_roots() {
-        let ms = models(&[("a.rs", HOT)]);
-        let g = build(&ms);
-        let d = g.to_dot();
-        assert_eq!(d, build(&models(&[("a.rs", HOT)])).to_dot());
-        assert!(d.contains("peripheries=2"));
-        assert!(d.contains("\"a.rs::Sys::run\""));
-        assert!(d.contains("5 fns"));
-    }
-
-    #[test]
-    fn stable_keys_disambiguate_collisions() {
-        let ms = models(&[(
-            "a.rs",
-            "impl A { fn go() {} }\nimpl A { fn go() {} }\nfn go() {}\n",
-        )]);
-        let g = build(&ms);
-        assert_eq!(
-            g.stable_keys(),
-            vec!["a.rs::A::go", "a.rs::A::go#2", "a.rs::go"]
-        );
-    }
-
-    #[test]
-    fn stripped_dot_survives_a_pure_line_shift() {
-        let shifted = format!("// lead\n//\n\n{HOT}");
-        let a = build(&models(&[("a.rs", HOT)])).to_dot();
-        let b = build(&models(&[("a.rs", &shifted)])).to_dot();
-        assert_ne!(a, b, "line attrs should differ");
-        assert_eq!(strip_line_attrs(&a), strip_line_attrs(&b));
-        assert!(!strip_line_attrs(&a).contains(", line="));
     }
 }

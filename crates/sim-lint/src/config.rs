@@ -100,17 +100,11 @@ fn crate_policy(name: &str) -> FilePolicy {
             event: true,
             panic: false,
             hygiene: false,
-            index: false,
             // The fuzzer derives every Gen from the case seed; keeping the
             // taint rule on here is exactly what catches a stray
             // `Gen(0xdead)` debugging constant before it lands.
             seed_taint: true,
             dead_config: true,
-            shared_mut: true,
-            output_order: true,
-            lock_graph: true,
-            atomic_ordering: true,
-            unsafe_audit: true,
         },
         // Defining crate of the schedule API; its own internals may call
         // the raw primitive.
@@ -131,14 +125,8 @@ fn crate_policy(name: &str) -> FilePolicy {
             event: true,
             panic: true,
             hygiene: true,
-            index: true,
             seed_taint: true,
             dead_config: true,
-            shared_mut: true,
-            output_order: true,
-            lock_graph: true,
-            atomic_ordering: true,
-            unsafe_audit: true,
         },
         // Everything else — including `obs`, the observability layer,
         // which is deterministic by contract (sim-time only: metrics and
@@ -148,23 +136,14 @@ fn crate_policy(name: &str) -> FilePolicy {
     }
 }
 
-/// Per-file overrides layered on top of the crate policy. Two entries:
-/// `crates/obs/src/prof.rs` — the sanctioned host-side handler profiler —
-/// is exempt from the wall-clock arm of `nondet` (it exists to read
-/// `Instant`), and `crates/core/src/experiments/exec.rs` — the suite
-/// runner whose coordinator merges worker results deterministically — is
-/// exempt from `output-order` (its progress lines are the sanctioned
-/// merge site). Every other rule of the full set still applies to both.
+/// Per-file override layered on top of the crate policy: the sanctioned
+/// host-side handler profiler, `crates/obs/src/prof.rs`, is exempt from
+/// the wall-clock arm of `nondet` (it exists to read `Instant`). Every
+/// other rule of the full set still applies to it.
 fn file_policy(path: &Path, policy: FilePolicy) -> FilePolicy {
     if path.ends_with(Path::new("obs/src/prof.rs")) {
         return FilePolicy {
             wallclock: false,
-            ..policy
-        };
-    }
-    if path.ends_with(Path::new("core/src/experiments/exec.rs")) {
-        return FilePolicy {
-            output_order: false,
             ..policy
         };
     }
@@ -189,71 +168,8 @@ pub fn policy_rows() -> Vec<(&'static str, FilePolicy)> {
             "obs::prof",
             file_policy(Path::new("crates/obs/src/prof.rs"), FilePolicy::ALL),
         ),
-        (
-            "core::exec",
-            file_policy(
-                Path::new("crates/core/src/experiments/exec.rs"),
-                FilePolicy::ALL,
-            ),
-        ),
         ("(default)", crate_policy("")),
     ]
-}
-
-/// Policy hook for the parallelism pass: qualified fn names (as
-/// [`crate::callgraph::FnNode::qual_name`] renders them) treated as
-/// parallel roots *in addition to* the spawn sites the model extracts —
-/// the seam where a future work-stealing dispatch loop (ROADMAP item 1)
-/// registers its per-worker entry points before any literal
-/// `scope.spawn` appears in the hot core. Empty today.
-#[must_use]
-pub fn par_roots() -> &'static [&'static str] {
-    &[]
-}
-
-/// Counters sanctioned to use `Ordering::Relaxed`, as (file-path suffix,
-/// receiver head identifier) pairs. The only entry is the suite runner's
-/// work-stealing cursor: each slot index is claimed exactly once via
-/// `fetch_add`, so ordering beyond atomicity buys nothing there.
-#[must_use]
-pub fn relaxed_counters() -> &'static [(&'static str, &'static str)] {
-    &[("crates/core/src/experiments/exec.rs", "cursor")]
-}
-
-/// First-party crates that `collect_workspace` skips (their fixtures and
-/// benches contain deliberately-bad or generated snippets) but that the
-/// `unsafe-audit` rule still covers via a separate source sweep. The
-/// vendored facades (`serde*`, `criterion`) stay exempt: they are
-/// third-party-shaped code we do not hold to the forbid requirement.
-#[must_use]
-pub fn audited_crates() -> &'static [&'static str] {
-    &["bench", "sim-lint"]
-}
-
-/// Enumerate the `src/` sources of [`audited_crates`] for the
-/// `unsafe-audit` sweep, as (workspace-relative path, source) pairs in
-/// deterministic order.
-pub fn audited_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
-    for name in audited_crates() {
-        collect_rs(
-            &root.join("crates").join(name).join("src"),
-            FilePolicy::ALL,
-            &mut files,
-        )?;
-    }
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    let mut out = Vec::new();
-    for f in files {
-        let rel = f
-            .path
-            .strip_prefix(root)
-            .unwrap_or(&f.path)
-            .display()
-            .to_string();
-        out.push((rel, fs::read_to_string(&f.path)?));
-    }
-    Ok(out)
 }
 
 /// Every cargo feature declared anywhere in the workspace: `[features]`

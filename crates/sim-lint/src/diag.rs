@@ -23,23 +23,20 @@ impl fmt::Display for Severity {
     }
 }
 
-/// The rule families sim-lint enforces. The first five are token-level
-/// rules (PR 3); the four flow rules operate on the cross-file
-/// event-protocol graph built by [`crate::flow`]; the three dataflow
-/// rules (`seed-taint`, `dead-config`, `panic-reach`) run over the
-/// workspace call graph and taint engine ([`crate::callgraph`],
-/// [`crate::dataflow`]); the five parallelism rules (`shared-mut`,
-/// `output-order`, `lock-graph`, `atomic-ordering`, `unsafe-audit`) run
-/// over the worker-reachable fn set built by [`crate::par`]. `Directive`
-/// covers problems with suppression comments themselves (malformed,
-/// missing reason, unused) and is not itself suppressible.
+/// The rule families sim-lint enforces. The first four are token-level
+/// rules; the four flow rules operate on the cross-file event-protocol
+/// graph built by [`crate::flow`]; the three dataflow rules
+/// (`seed-taint`, `dead-config`, `panic-reach`) run over the workspace
+/// call graph and taint engine ([`crate::callgraph`],
+/// [`crate::dataflow`]). `Directive` covers problems with suppression
+/// comments themselves (malformed, missing reason, unused) and is not
+/// itself suppressible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     Nondet,
     Panic,
     Hygiene,
     Event,
-    Index,
     DeadEvent,
     UnhandledEvent,
     MultiDispatch,
@@ -47,11 +44,6 @@ pub enum Rule {
     SeedTaint,
     DeadConfig,
     PanicReach,
-    SharedMut,
-    OutputOrder,
-    LockGraph,
-    AtomicOrdering,
-    UnsafeAudit,
     Directive,
 }
 
@@ -62,7 +54,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Hygiene => "hygiene",
             Rule::Event => "event",
-            Rule::Index => "index",
             Rule::DeadEvent => "dead-event",
             Rule::UnhandledEvent => "unhandled-event",
             Rule::MultiDispatch => "multi-dispatch",
@@ -70,11 +61,6 @@ impl Rule {
             Rule::SeedTaint => "seed-taint",
             Rule::DeadConfig => "dead-config",
             Rule::PanicReach => "panic-reach",
-            Rule::SharedMut => "shared-mut",
-            Rule::OutputOrder => "output-order",
-            Rule::LockGraph => "lock-graph",
-            Rule::AtomicOrdering => "atomic-ordering",
-            Rule::UnsafeAudit => "unsafe-audit",
             Rule::Directive => "directive",
         }
     }
@@ -88,7 +74,6 @@ impl Rule {
             "panic" => Some(Rule::Panic),
             "hygiene" => Some(Rule::Hygiene),
             "event" => Some(Rule::Event),
-            "index" => Some(Rule::Index),
             "dead-event" => Some(Rule::DeadEvent),
             "unhandled-event" => Some(Rule::UnhandledEvent),
             "multi-dispatch" => Some(Rule::MultiDispatch),
@@ -96,11 +81,6 @@ impl Rule {
             "seed-taint" => Some(Rule::SeedTaint),
             "dead-config" => Some(Rule::DeadConfig),
             "panic-reach" => Some(Rule::PanicReach),
-            "shared-mut" => Some(Rule::SharedMut),
-            "output-order" => Some(Rule::OutputOrder),
-            "lock-graph" => Some(Rule::LockGraph),
-            "atomic-ordering" => Some(Rule::AtomicOrdering),
-            "unsafe-audit" => Some(Rule::UnsafeAudit),
             _ => None,
         }
     }
@@ -113,8 +93,8 @@ pub struct RuleMeta {
     /// Default severity of the rule's findings (nondet's raw-pointer
     /// variant and directive's unused-allow variant downgrade to warning).
     pub severity: Severity,
-    /// Which analysis layer produces it: `token`, `flow`, `dataflow`,
-    /// `par`, or `directive`.
+    /// Which analysis layer produces it: `token`, `flow`, `dataflow`, or
+    /// `directive`.
     pub layer: &'static str,
     pub summary: &'static str,
 }
@@ -124,7 +104,7 @@ pub struct RuleMeta {
 /// renders and suppression reasons should cite.
 #[must_use]
 pub fn rule_metas() -> Vec<RuleMeta> {
-    use Severity::{Error, Info, Warning};
+    use Severity::{Error, Warning};
     vec![
         RuleMeta {
             rule: Rule::Nondet,
@@ -151,12 +131,6 @@ pub fn rule_metas() -> Vec<RuleMeta> {
             layer: "token",
             summary: "raw .schedule( is engine-only; .pop_batch(/.rescind_delivered( \
                       belong to the central dispatch loop",
-        },
-        RuleMeta {
-            rule: Rule::Index,
-            severity: Info,
-            layer: "token",
-            summary: "advisory note on slice indexing (never gates)",
         },
         RuleMeta {
             rule: Rule::DeadEvent,
@@ -201,41 +175,6 @@ pub fn rule_metas() -> Vec<RuleMeta> {
             layer: "dataflow",
             summary: "panic sites reachable from the dispatch hot loop (upgraded from \
                       the panic rule via the call graph)",
-        },
-        RuleMeta {
-            rule: Rule::SharedMut,
-            severity: Error,
-            layer: "par",
-            summary: "no mutable statics or non-thread_local Cell/RefCell interior \
-                      mutability reachable from worker code",
-        },
-        RuleMeta {
-            rule: Rule::OutputOrder,
-            severity: Error,
-            layer: "par",
-            summary: "no direct stdout/stderr writes in worker-reachable fns; merge \
-                      output deterministically on the coordinator",
-        },
-        RuleMeta {
-            rule: Rule::LockGraph,
-            severity: Error,
-            layer: "par",
-            summary: "no cycles in the worker lock-acquisition graph, and no second \
-                      .lock() while a guard is live in the same fn",
-        },
-        RuleMeta {
-            rule: Rule::AtomicOrdering,
-            severity: Error,
-            layer: "par",
-            summary: "Ordering::Relaxed only on policy-named counters; anything else \
-                      needs an inline allow",
-        },
-        RuleMeta {
-            rule: Rule::UnsafeAudit,
-            severity: Error,
-            layer: "par",
-            summary: "first-party crates carry #![forbid(unsafe_code)]; any unsafe \
-                      block needs a // SAFETY: comment",
         },
         RuleMeta {
             rule: Rule::Directive,
@@ -301,33 +240,21 @@ pub struct GraphSummary {
     pub hot: usize,
 }
 
-/// Parallelism-pass counts for the JSON document header.
-#[derive(Debug, Clone, Copy)]
-pub struct ParSummary {
-    pub roots: usize,
-    pub worker_reachable: usize,
-    pub lock_edges: usize,
-}
-
 /// Machine-readable diagnostics document for `--format json`: a stable
 /// schema CI tooling can parse without depending on sim-lint's output
 /// wording. Version 2 added the `callgraph` summary block; version 3
-/// adds the `par` block (parallel roots, worker-reachable fn count,
-/// lock-acquisition edges). The writer is hand-rolled so the tool itself
-/// stays dependency-free; the output is verified to round-trip through
-/// the workspace's `serde_json` in `tests/json_roundtrip.rs`.
+/// added a `par` block, which version 4 drops again. The writer is
+/// hand-rolled so the tool itself stays dependency-free; the output is
+/// verified to round-trip through the workspace's `serde_json` in
+/// `tests/json_roundtrip.rs`.
 #[must_use]
-pub fn to_json(
-    diags: &[Diagnostic],
-    graph: Option<&GraphSummary>,
-    par: Option<&ParSummary>,
-) -> String {
+pub fn to_json(diags: &[Diagnostic], graph: Option<&GraphSummary>) -> String {
     use fmt::Write as _;
     let (errors, warnings, infos) = crate::tally(diags);
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"version\":3,\"summary\":{{\"errors\":{errors},\"warnings\":{warnings},\
+        "{{\"version\":4,\"summary\":{{\"errors\":{errors},\"warnings\":{warnings},\
          \"infos\":{infos}}},"
     );
     if let Some(g) = graph {
@@ -335,13 +262,6 @@ pub fn to_json(
             out,
             "\"callgraph\":{{\"functions\":{},\"edges\":{},\"roots\":{},\"hot\":{}}},",
             g.functions, g.edges, g.roots, g.hot
-        );
-    }
-    if let Some(p) = par {
-        let _ = write!(
-            out,
-            "\"par\":{{\"roots\":{},\"worker_reachable\":{},\"lock_edges\":{}}},",
-            p.roots, p.worker_reachable, p.lock_edges
         );
     }
     out.push_str("\"diagnostics\":[");
@@ -410,14 +330,13 @@ mod tests {
             severity: Severity::Error,
             message: "line1\nline2\ttab".to_string(),
         }];
-        let json = to_json(&diags, None, None);
-        assert!(json.contains("\"version\":3"));
+        let json = to_json(&diags, None);
+        assert!(json.contains("\"version\":4"));
         assert!(json.contains("\"errors\":1"));
         assert!(json.contains("\"rule\":\"dead-event\""));
         assert!(json.contains("a \\\"b\\\"\\\\c.rs"));
         assert!(json.contains("line1\\nline2\\ttab"));
         assert!(!json.contains("callgraph"));
-        assert!(!json.contains("\"par\""));
     }
 
     #[test]
@@ -428,21 +347,10 @@ mod tests {
             roots: 2,
             hot: 7,
         };
-        let json = to_json(&[], Some(&g), None);
+        let json = to_json(&[], Some(&g));
         assert!(
             json.contains("\"callgraph\":{\"functions\":10,\"edges\":20,\"roots\":2,\"hot\":7}")
         );
-    }
-
-    #[test]
-    fn json_includes_par_summary_when_present() {
-        let p = ParSummary {
-            roots: 1,
-            worker_reachable: 42,
-            lock_edges: 3,
-        };
-        let json = to_json(&[], None, Some(&p));
-        assert!(json.contains("\"par\":{\"roots\":1,\"worker_reachable\":42,\"lock_edges\":3}"));
     }
 
     #[test]
@@ -471,11 +379,6 @@ mod tests {
             Rule::SeedTaint,
             Rule::DeadConfig,
             Rule::PanicReach,
-            Rule::SharedMut,
-            Rule::OutputOrder,
-            Rule::LockGraph,
-            Rule::AtomicOrdering,
-            Rule::UnsafeAudit,
         ] {
             assert_eq!(Rule::from_name(r.name()), Some(r));
         }
@@ -490,7 +393,6 @@ mod tests {
             Rule::Panic,
             Rule::Hygiene,
             Rule::Event,
-            Rule::Index,
             Rule::DeadEvent,
             Rule::UnhandledEvent,
             Rule::MultiDispatch,
@@ -498,11 +400,6 @@ mod tests {
             Rule::SeedTaint,
             Rule::DeadConfig,
             Rule::PanicReach,
-            Rule::SharedMut,
-            Rule::OutputOrder,
-            Rule::LockGraph,
-            Rule::AtomicOrdering,
-            Rule::UnsafeAudit,
             Rule::Directive,
         ];
         assert_eq!(metas.len(), all.len());

@@ -21,10 +21,8 @@ use crate::diag::{Diagnostic, Rule, Severity};
 use crate::graph::{self, ProtocolGraph};
 use crate::lexer;
 use crate::model::{self, FileModel};
-use crate::par;
 use crate::rules::{self, FilePolicy};
 use crate::rules_flow;
-use crate::rules_par;
 use crate::scan;
 
 /// The protocol enum the graph is built over.
@@ -42,15 +40,13 @@ pub struct SourceText {
 }
 
 /// The result of a full analysis: all diagnostics (token + flow +
-/// dataflow + parallelism, after suppression), the protocol graph if the
-/// file set defines the protocol enum, the workspace call graph, and the
-/// parallelism graph built over it.
+/// dataflow, after suppression), the protocol graph if the file set
+/// defines the protocol enum, and the workspace call graph.
 #[derive(Debug)]
 pub struct Analysis {
     pub diags: Vec<Diagnostic>,
     pub graph: Option<ProtocolGraph>,
     pub callgraph: CallGraph,
-    pub par: par::ParGraph,
 }
 
 /// Analyze a set of in-memory sources with no declared cargo features:
@@ -110,17 +106,9 @@ pub fn analyze_sources_with(files: &[SourceText], features: &BTreeSet<String>) -
 
     let graph = graph::build(&models, PROTOCOL_ENUM);
     let taint = dataflow::taint(&models, &cg);
-    let pg = par::build(&models, &cg, config::par_roots());
     let mut flow_diags = rules_flow::check_flow(&models, graph.as_ref());
     flow_diags.extend(dataflow::check_seed_taint(&models, &cg, &taint, &policies));
     flow_diags.extend(dataflow::check_dead_config(&models, features, &policies));
-    flow_diags.extend(rules_par::check_par(
-        &models,
-        &cg,
-        &pg,
-        &policies,
-        config::relaxed_counters(),
-    ));
 
     let mut orphans = Vec::new();
     for d in flow_diags {
@@ -142,7 +130,6 @@ pub fn analyze_sources_with(files: &[SourceText], features: &BTreeSet<String>) -
         diags,
         graph,
         callgraph: cg,
-        par: pg,
     }
 }
 
@@ -178,10 +165,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
     }
     let mut a = analyze_sources_with(&sources, &features);
     a.diags.extend(io_diags);
-    // The unsafe-audit sweep over first-party crates the walk skips
-    // (their fixtures would trip every other rule).
-    a.diags
-        .extend(rules_par::audit_sources(&config::audited_sources(root)?));
     a.diags
         .sort_by(|x, y| (&x.file, x.line, x.rule).cmp(&(&y.file, y.line, y.rule)));
     Ok(a)
@@ -303,7 +286,7 @@ mod tests {
         let x = analyze_sources(&fwd);
         let y = analyze_sources(&rev);
         assert_eq!(format!("{:?}", x.diags), format!("{:?}", y.diags));
-        assert_eq!(x.callgraph.to_dot(), y.callgraph.to_dot());
+        assert_eq!(format!("{:?}", x.callgraph), format!("{:?}", y.callgraph));
     }
 
     #[test]

@@ -144,12 +144,11 @@ impl ProtocolGraph {
     /// declaration order, sites in (file, line) order, node declarations
     /// deduplicated on first use — so the golden snapshot is byte-stable.
     ///
-    /// Node keys are line-free (`file::fn via`, `fn @ file`): pure line
-    /// shifts change only the strippable `line=N` attribute, never the
-    /// graph shape, so the golden comparison runs on
-    /// [`crate::callgraph::strip_line_attrs`] output. Two same-named
-    /// call sites in one function merge into one node (their edges
-    /// dedup), which is the right granularity for a protocol diagram.
+    /// Node keys are line-free (`file::fn via`, `fn @ file`) and no node
+    /// carries a line number, so a pure line shift leaves the DOT
+    /// byte-identical. Two same-named call sites in one function merge
+    /// into one node (their edges dedup), which is the right granularity
+    /// for a protocol diagram.
     #[must_use]
     pub fn to_dot(&self) -> String {
         let mut out = String::new();
@@ -177,19 +176,14 @@ impl ProtocolGraph {
             for p in &v.producers {
                 let pn = format!("{}::{} {}", p.file, p.fn_name, p.via);
                 if declared.insert(pn.clone()) {
-                    let _ = writeln!(out, "  \"{}\" [shape=box, line={}];", esc(&pn), p.line);
+                    let _ = writeln!(out, "  \"{}\" [shape=box];", esc(&pn));
                 }
                 edge(&mut out, &pn, &vn);
             }
             for c in &v.consumers {
                 let cn = format!("{} @ {}", c.fn_name, c.file);
                 if declared.insert(cn.clone()) {
-                    let _ = writeln!(
-                        out,
-                        "  \"{}\" [shape=box, line={}];",
-                        esc(&cn),
-                        c.match_line
-                    );
+                    let _ = writeln!(out, "  \"{}\" [shape=box];", esc(&cn));
                 }
                 edge(&mut out, &vn, &cn);
             }
@@ -197,7 +191,7 @@ impl ProtocolGraph {
         for w in &self.wildcards {
             let wn = format!("wildcard @ {}::{}", w.file, w.fn_name);
             if declared.insert(wn.clone()) {
-                let _ = writeln!(out, "  \"{}\" [shape=diamond, line={}];", esc(&wn), w.line);
+                let _ = writeln!(out, "  \"{}\" [shape=diamond];", esc(&wn));
             }
         }
         let _ = writeln!(out, "}}");
@@ -259,21 +253,17 @@ mod tests {
         assert_eq!(d1, d2);
         assert!(d1.contains("\"Ev::A\""));
         assert!(d1.contains("\"Ev::B\""));
-        assert!(d1.contains("\"p.rs::produce schedule_after\" [shape=box, line=6];"));
-        assert!(d1.contains("\"dispatch @ p.rs\" [shape=box, line=10];"));
+        assert!(d1.contains("\"p.rs::produce schedule_after\" [shape=box];"));
+        assert!(d1.contains("\"dispatch @ p.rs\" [shape=box];"));
     }
 
     #[test]
-    fn stripped_dot_is_invariant_under_line_shift() {
+    fn dot_is_invariant_under_line_shift() {
         let ms = models(&[("p.rs", PROTO)]);
         let shifted = format!("// header\n// more header\n{PROTO}");
         let ms2 = models(&[("p.rs", shifted.as_str())]);
         let d1 = build(&ms, "Ev").expect("enum found").to_dot();
         let d2 = build(&ms2, "Ev").expect("enum found").to_dot();
-        assert_ne!(d1, d2, "raw DOT should carry the shifted lines");
-        assert_eq!(
-            crate::callgraph::strip_line_attrs(&d1),
-            crate::callgraph::strip_line_attrs(&d2)
-        );
+        assert_eq!(d1, d2);
     }
 }

@@ -15,8 +15,7 @@
 //!   (`if cfg!(any(debug_assertions, feature = "check"))`) so release runs
 //!   stay assert-free but `--features check` can re-arm them;
 //! - **event** — raw `EventQueue::schedule(at)` is reserved for the engine;
-//!   models use `schedule_after`/`schedule_no_earlier`;
-//! - **index** — advisory note on slice indexing (never gates).
+//!   models use `schedule_after`/`schedule_no_earlier`.
 //!
 //! On top of the token rules, the **flow pass** ([`flow`]) builds the
 //! cross-file event-protocol graph (every `Event` variant's `schedule*`
@@ -43,23 +42,11 @@
 //!   with the root→function chain in the message, when the panic is
 //!   reachable from a dispatch loop.
 //!
-//! The **parallelism pass** ([`par`] + [`rules_par`]) computes the set
-//! of functions reachable from spawned-worker closures (`scope.spawn`,
-//! `thread::spawn`, plus policy-named future dispatch roots) and the
-//! lock-acquisition graph over it, then runs five deny-by-default rules
-//! that clear the runway for engine parallelism:
-//!
-//! - **shared-mut** — mutable statics and non-`thread_local!` interior
-//!   mutability reachable from worker code;
-//! - **output-order** — worker-side stdout/stderr writes (interleaving
-//!   is scheduling-dependent; merge on the coordinator);
-//! - **lock-graph** — a second `.lock()` while a guard is live, and any
-//!   cycle in the cross-function lock-acquisition graph;
-//! - **atomic-ordering** — `Ordering::Relaxed` only on policy-named
-//!   counters;
-//! - **unsafe-audit** — first-party crate roots carry
-//!   `#![forbid(unsafe_code)]`; any `unsafe` needs a `// SAFETY:`
-//!   comment.
+//! Checks that other mechanisms already carry are deliberately absent:
+//! `unsafe` is forbidden workspace-wide by rustc (`unsafe_code =
+//! "forbid"` in the root manifest's `[workspace.lints.rust]`), and
+//! scheduling-dependent output is caught by CI's byte-compare of
+//! `figures --jobs 1` against `--jobs 4`.
 //!
 //! Findings can be suppressed per line with
 //! `// sim-lint: allow(<rule>, reason = "...")` — a non-empty reason is
@@ -81,10 +68,8 @@ pub mod graph;
 pub mod lexer;
 pub mod listing;
 pub mod model;
-pub mod par;
 pub mod rules;
 pub mod rules_flow;
-pub mod rules_par;
 pub mod scan;
 
 use std::path::Path;
@@ -136,10 +121,8 @@ pub(crate) fn finalize(file: &str, raw: Vec<Diagnostic>, allows: &[Allow]) -> Ve
                 Severity::Error,
                 format!(
                     "unknown rule `{}` in allow; rules are nondet, panic, hygiene, \
-                     event, index, dead-event, unhandled-event, multi-dispatch, \
-                     taxonomy-wiring, seed-taint, dead-config, panic-reach, \
-                     shared-mut, output-order, lock-graph, atomic-ordering, \
-                     unsafe-audit",
+                     event, dead-event, unhandled-event, multi-dispatch, \
+                     taxonomy-wiring, seed-taint, dead-config, panic-reach",
                     a.rule
                 ),
             );

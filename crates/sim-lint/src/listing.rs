@@ -12,21 +12,15 @@ use crate::rules::FilePolicy;
 /// dataflow rules beyond these run wherever their anchor constructs
 /// live; `panic-reach` inherits the `panic` column (it is the same
 /// findings, upgraded by reachability).
-fn policy_cells(p: FilePolicy) -> [(&'static str, bool); 13] {
+fn policy_cells(p: FilePolicy) -> [(&'static str, bool); 7] {
     [
         ("nondet", p.nondet),
         ("wallclock", p.wallclock),
         ("panic", p.panic),
         ("hygiene", p.hygiene),
         ("event", p.event),
-        ("index", p.index),
         ("seed-taint", p.seed_taint),
         ("dead-config", p.dead_config),
-        ("shared-mut", p.shared_mut),
-        ("output-order", p.output_order),
-        ("lock-graph", p.lock_graph),
-        ("atomic-ordering", p.atomic_ordering),
-        ("unsafe-audit", p.unsafe_audit),
     ]
 }
 
@@ -78,7 +72,7 @@ pub fn render_table() -> String {
 /// The same listing as a JSON document (`--list-rules --format json`).
 #[must_use]
 pub fn render_json() -> String {
-    let mut out = String::from("{\"version\":3,\"rules\":[");
+    let mut out = String::from("{\"version\":4,\"rules\":[");
     for (i, m) in rule_metas().iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -133,7 +127,6 @@ mod tests {
             "sim-engine",
             "fabric",
             "obs::prof",
-            "core::exec",
             "(default)",
         ] {
             assert!(t.contains(name), "missing policy row {name}");
@@ -144,13 +137,13 @@ mod tests {
     #[test]
     fn json_listing_is_well_formed_enough_to_spot_check() {
         let j = render_json();
-        assert!(j.starts_with("{\"version\":3,\"rules\":["));
+        assert!(j.starts_with("{\"version\":4,\"rules\":["));
         assert!(j.contains("\"rule\":\"seed-taint\""));
-        assert!(j.contains("\"rule\":\"lock-graph\""));
+        assert!(j.contains("\"rule\":\"panic-reach\""));
         assert!(j.contains("\"crate\":\"sim-check\""));
-        assert!(j.contains("\"crate\":\"core::exec\""));
+        assert!(j.contains("\"crate\":\"obs::prof\""));
         assert!(j.contains("\"panic\":false"));
-        assert!(j.contains("\"output-order\":false"));
+        assert!(j.contains("\"wallclock\":false"));
         assert!(j.contains("\"skipped_crates\":[\"serde\""));
         assert!(j.trim_end().ends_with("]}"));
     }

@@ -3,16 +3,13 @@
 //! ```text
 //! cargo run -p sim-lint -- [--root <path>] [--deny warnings] [--quiet]
 //!                          [--format <human|json|github>] [--emit-graph <path>]
-//!                          [--emit-callgraph <path>] [--emit-pargraph <path>]
 //!                          [--list-rules] [--fix-unused-allows]
 //! ```
 //!
 //! `--format json` writes the machine-readable diagnostics document to
 //! stdout (summary goes to stderr); `--format github` prints one GitHub
 //! Actions annotation per finding. `--emit-graph` writes the event-protocol
-//! graph as DOT to the given path; `--emit-callgraph` does the same for
-//! the workspace call graph and `--emit-pargraph` for the parallelism
-//! graph (spawn roots, worker-reachable functions, lock edges).
+//! graph as DOT to the given path.
 //! `--list-rules` prints every rule with its severity and the per-crate
 //! policy table (honors `--format json`) and exits.
 //! `--fix-unused-allows` deletes unused suppression comments in place
@@ -23,7 +20,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sim_lint::diag::{self, GraphSummary, ParSummary, Severity};
+use sim_lint::diag::{self, GraphSummary, Severity};
 use sim_lint::{fix, listing};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -34,8 +31,7 @@ enum Format {
 }
 
 const USAGE: &str = "usage: sim-lint [--root <path>] [--deny warnings] [--quiet] \
-     [--format <human|json|github>] [--emit-graph <path>] \
-     [--emit-callgraph <path>] [--emit-pargraph <path>] [--list-rules] \
+     [--format <human|json|github>] [--emit-graph <path>] [--list-rules] \
      [--fix-unused-allows]";
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -50,8 +46,6 @@ fn main() -> ExitCode {
     let mut quiet = false;
     let mut format = Format::Human;
     let mut emit_graph: Option<PathBuf> = None;
-    let mut emit_callgraph: Option<PathBuf> = None;
-    let mut emit_pargraph: Option<PathBuf> = None;
     let mut list_rules = false;
     let mut fix_unused = false;
 
@@ -88,28 +82,15 @@ fn main() -> ExitCode {
                     return usage_error("--emit-graph requires an output path for the DOT file")
                 }
             },
-            "--emit-callgraph" => match args.next() {
-                Some(p) => emit_callgraph = Some(PathBuf::from(p)),
-                None => {
-                    return usage_error("--emit-callgraph requires an output path for the DOT file")
-                }
-            },
-            "--emit-pargraph" => match args.next() {
-                Some(p) => emit_pargraph = Some(PathBuf::from(p)),
-                None => {
-                    return usage_error("--emit-pargraph requires an output path for the DOT file")
-                }
-            },
             "--list-rules" => list_rules = true,
             "--fix-unused-allows" => fix_unused = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!(
                     "sim-lint: workspace static analysis (token rules nondet, panic, \
-                     hygiene, event, index; flow rules dead-event, unhandled-event, \
+                     hygiene, event; flow rules dead-event, unhandled-event, \
                      multi-dispatch, taxonomy-wiring; dataflow rules seed-taint, \
-                     dead-config, panic-reach; parallelism rules shared-mut, \
-                     output-order, lock-graph, atomic-ordering, unsafe-audit)"
+                     dead-config, panic-reach)"
                 );
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -118,8 +99,7 @@ fn main() -> ExitCode {
                 return usage_error(&format!(
                     "unknown flag `{other}`; accepted flags are --root <path>, \
                      --deny warnings, --quiet, --format <human|json|github>, \
-                     --emit-graph <path>, --emit-callgraph <path>, \
-                     --emit-pargraph <path>, --list-rules, --fix-unused-allows"
+                     --emit-graph <path>, --list-rules, --fix-unused-allows"
                 ));
             }
         }
@@ -164,12 +144,6 @@ fn main() -> ExitCode {
         roots: nr,
         hot: nh,
     };
-    let (np, nw, nl) = analysis.par.summary();
-    let par_summary = ParSummary {
-        roots: np,
-        worker_reachable: nw,
-        lock_edges: nl,
-    };
 
     if let Some(path) = &emit_graph {
         let Some(graph) = &analysis.graph else {
@@ -183,24 +157,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &emit_callgraph {
-        if let Err(e) = std::fs::write(path, analysis.callgraph.to_dot()) {
-            return usage_error(&format!(
-                "cannot write call graph to {}: {e}",
-                path.display()
-            ));
-        }
-    }
-
-    if let Some(path) = &emit_pargraph {
-        if let Err(e) = std::fs::write(path, analysis.par.to_dot(&analysis.callgraph)) {
-            return usage_error(&format!(
-                "cannot write parallelism graph to {}: {e}",
-                path.display()
-            ));
-        }
-    }
-
     match format {
         Format::Human => {
             if !quiet {
@@ -209,14 +165,11 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Format::Json => print!(
-            "{}",
-            diag::to_json(diags, Some(&graph_summary), Some(&par_summary))
-        ),
+        Format::Json => print!("{}", diag::to_json(diags, Some(&graph_summary))),
         Format::Github => {
             // Annotate only what can gate: GitHub caps annotations per
-            // step, and hundreds of advisory Info notes would drown the
-            // findings that matter (the JSON artifact carries them all).
+            // step, and advisory Info notes would drown the findings
+            // that matter (the JSON artifact carries them all).
             let gating: Vec<_> = diags
                 .iter()
                 .filter(|d| d.severity >= Severity::Warning)
@@ -229,8 +182,7 @@ fn main() -> ExitCode {
     let (errors, warnings, infos) = sim_lint::tally(diags);
     let summary = format!(
         "sim-lint: {errors} error(s), {warnings} warning(s), {infos} info note(s); \
-         call graph: {nf} fns, {ne} edges, {nr} dispatch roots, {nh} hot; \
-         parallelism: {np} roots, {nw} worker-reachable, {nl} lock edges"
+         call graph: {nf} fns, {ne} edges, {nr} dispatch roots, {nh} hot"
     );
     // Keep stdout machine-parseable under --format json.
     if format == Format::Json {

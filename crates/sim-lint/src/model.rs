@@ -102,9 +102,6 @@ pub struct CallSite {
     pub kind: CallKind,
     pub callee: String,
     pub line: u32,
-    /// Token index of the callee name, for span membership tests (the
-    /// par pass asks whether a call lies inside a spawn closure).
-    pub tok: usize,
     /// The identifiers mentioned in each argument expression, in argument
     /// order — the dataflow layer's argument→parameter flow edges.
     pub args: Vec<BTreeSet<String>>,
@@ -161,67 +158,6 @@ pub struct RngSite {
     pub rhs_text: String,
 }
 
-/// A `scope.spawn(...)` / `thread::spawn(...)` call: the par pass treats
-/// the enclosing fn as a parallel root and the closure body (the call's
-/// paren span) as worker code.
-#[derive(Debug, Clone)]
-pub struct SpawnSite {
-    pub line: u32,
-    /// Index into [`FileModel::fns`] of the enclosing function.
-    pub fn_idx: Option<usize>,
-    /// Token span of the spawn call's argument list (the parens), so
-    /// sites and calls inside the closure body can be classified as
-    /// worker-side even though they syntactically belong to the root fn.
-    pub lp: usize,
-    pub rp: usize,
-}
-
-/// A single-token site the par rules care about (a `Cell`/`RefCell`
-/// mention, a `println!`-family write, a mutable-static reference).
-#[derive(Debug, Clone)]
-pub struct ParSite {
-    pub name: String,
-    pub line: u32,
-    pub fn_idx: Option<usize>,
-    pub tok: usize,
-}
-
-/// One `.lock()` call with its receiver normalized to a lock identity
-/// (`pool.m1`, `slots[i]` → the acquisition-graph node names).
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// Normalized receiver text, the lock's identity in the lock graph.
-    pub recv: String,
-    /// `let`-bound guard binder, if the acquisition is held in a local
-    /// (a statement-expression `.lock()` releases at the semicolon and
-    /// carries no liveness).
-    pub binder: Option<String>,
-    pub line: u32,
-    pub fn_idx: Option<usize>,
-    pub tok: usize,
-}
-
-/// An atomic method call carrying an explicit `Ordering::*` argument.
-#[derive(Debug, Clone)]
-pub struct AtomicSite {
-    /// Normalized receiver text (`cursor`, `self.count`).
-    pub recv: String,
-    pub method: String,
-    /// The ordering name (`Relaxed`, `SeqCst`, ...).
-    pub ordering: String,
-    pub line: u32,
-    pub fn_idx: Option<usize>,
-    pub tok: usize,
-}
-
-/// An `unsafe` keyword occurrence outside test code, and whether a
-/// `// SAFETY:` comment sits within the three lines above it.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    pub line: u32,
-    pub has_safety: bool,
-}
-
 /// Everything the flow rules need to know about one source file.
 #[derive(Debug)]
 pub struct FileModel {
@@ -247,27 +183,6 @@ pub struct FileModel {
     pub lets: Vec<LetBind>,
     /// RNG-state construction sites.
     pub rng_sites: Vec<RngSite>,
-    /// `scope.spawn(...)` / `thread::spawn(...)` sites.
-    pub spawns: Vec<SpawnSite>,
-    /// `static mut NAME` declarations, as `(name, decl_line)`.
-    pub static_muts: Vec<(String, u32)>,
-    /// Same-file references to a declared mutable static.
-    pub static_mut_refs: Vec<ParSite>,
-    /// `Cell`/`RefCell`/`UnsafeCell` mentions outside `thread_local!`
-    /// blocks (the `thread_local!` idiom is the sanctioned per-worker
-    /// accumulator pattern and is exempt).
-    pub interior_muts: Vec<ParSite>,
-    /// `println!`-family macro invocations and `stdout()`/`stderr()`
-    /// handle acquisitions.
-    pub prints: Vec<ParSite>,
-    /// `.lock()` call sites with normalized receivers.
-    pub locks: Vec<LockSite>,
-    /// Atomic method calls with explicit `Ordering::*` arguments.
-    pub atomics: Vec<AtomicSite>,
-    /// `unsafe` keyword occurrences outside test code.
-    pub unsafe_sites: Vec<UnsafeSite>,
-    /// Whether the file declares `#![forbid(unsafe_code)]`.
-    pub has_forbid_unsafe: bool,
 }
 
 fn ident(lx: &Lexed, i: usize) -> Option<&str> {
@@ -772,138 +687,6 @@ fn parse_args(lx: &Lexed, lp: usize, rp: usize) -> Vec<BTreeSet<String>> {
 /// The scheduling methods whose arguments count as event production.
 const SCHEDULE_METHODS: &[&str] = &["schedule", "schedule_after", "schedule_no_earlier"];
 
-/// Atomic methods that take an `Ordering` argument. A matching callee
-/// only becomes an [`AtomicSite`] when an `Ordering::*` path actually
-/// appears in its argument list, so unrelated `load(...)`/`swap(...)`
-/// methods never collide.
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_nand",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-/// Interior-mutability cell types the `shared-mut` rule watches.
-const CELL_TYPES: &[&str] = &["Cell", "RefCell", "UnsafeCell"];
-
-/// Output macros the `output-order` rule watches (invocation form only:
-/// the `!` after the name is required).
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
-
-/// Backward delimiter match: index of the opener matching the closer at
-/// `close` (0 if unbalanced).
-fn match_delim_back(lx: &Lexed, close: usize, open_c: char, close_c: char) -> usize {
-    let mut depth = 0i64;
-    let mut i = close;
-    loop {
-        match &lx.tokens[i].tok {
-            Tok::Punct(p) if *p == close_c => depth += 1,
-            Tok::Punct(p) if *p == open_c => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        if i == 0 {
-            return 0;
-        }
-        i -= 1;
-    }
-}
-
-/// Walk back from `e` — the last token of a method call's receiver — to
-/// the receiver's first token. Steps over field/method/index chains
-/// (`pool.m1`, `slots[i]`, `self.inner().m`, `Type::LOCK`) and stops at
-/// anything else.
-fn recv_start(lx: &Lexed, e: usize) -> usize {
-    let mut k = e;
-    loop {
-        // Step over one primary whose last token is at `k`.
-        match &lx.tokens[k].tok {
-            Tok::Punct(')') => {
-                let open = match_delim_back(lx, k, '(', ')');
-                k = if open > 0 && ident(lx, open - 1).is_some() {
-                    open - 1
-                } else {
-                    open
-                };
-            }
-            Tok::Punct(']') => {
-                let open = match_delim_back(lx, k, '[', ']');
-                k = if open > 0 && ident(lx, open - 1).is_some() {
-                    open - 1
-                } else {
-                    open
-                };
-            }
-            Tok::Ident(_) | Tok::Lit(_) => {}
-            Tok::Punct(_) => return (k + 1).min(e),
-        }
-        // Continue over `.` / `::` chain links.
-        if k >= 2 && punct(lx, k - 1, '.') && !punct(lx, k - 2, '.') && !punct(lx, k - 2, ':') {
-            k -= 2;
-        } else if k >= 3 && punct(lx, k - 1, ':') && punct(lx, k - 2, ':') {
-            k -= 3;
-        } else {
-            return k;
-        }
-    }
-}
-
-/// Source text of a token range with no spaces except between adjacent
-/// word tokens — the normalized form lock/atomic receivers are keyed by
-/// (`slots[i]`, `pool.m1`, `self.inner().m2`).
-fn tight_text(lx: &Lexed, start: usize, end: usize) -> String {
-    let mut s = String::new();
-    let mut prev_word = false;
-    for t in &lx.tokens[start..end.min(lx.tokens.len())] {
-        match &t.tok {
-            Tok::Ident(i) => {
-                if prev_word {
-                    s.push(' ');
-                }
-                s.push_str(i);
-                prev_word = true;
-            }
-            Tok::Lit(l) => {
-                if prev_word {
-                    s.push(' ');
-                }
-                s.push_str(l);
-                prev_word = true;
-            }
-            Tok::Punct(p) => {
-                s.push(*p);
-                prev_word = false;
-            }
-        }
-    }
-    s
-}
-
-/// Token spans of `thread_local! { ... }` bodies.
-fn thread_local_spans(lx: &Lexed) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in 0..lx.tokens.len() {
-        if ident(lx, i) == Some("thread_local") && punct(lx, i + 1, '!') && punct(lx, i + 2, '{') {
-            out.push((i + 2, match_delim(lx, i + 2, '{', '}')));
-        }
-    }
-    out
-}
-
 /// Lift one lexed file into its item-level model. `cx` supplies the test
 /// mask; tokens inside test regions contribute nothing.
 pub fn extract(file: &str, lx: &Lexed, cx: &Context) -> FileModel {
@@ -921,19 +704,7 @@ pub fn extract(file: &str, lx: &Lexed, cx: &Context) -> FileModel {
         fields: Vec::new(),
         lets: Vec::new(),
         rng_sites: Vec::new(),
-        spawns: Vec::new(),
-        static_muts: Vec::new(),
-        static_mut_refs: Vec::new(),
-        interior_muts: Vec::new(),
-        prints: Vec::new(),
-        locks: Vec::new(),
-        atomics: Vec::new(),
-        unsafe_sites: Vec::new(),
-        has_forbid_unsafe: false,
     };
-    let tl_spans = thread_local_spans(lx);
-    let in_thread_local = |i: usize| tl_spans.iter().any(|&(a, b)| a < i && i < b);
-    let mut static_mut_decl_toks = Vec::new();
     let n = lx.tokens.len();
     for i in 0..n {
         if cx.test[i] {
@@ -1069,131 +840,13 @@ pub fn extract(file: &str, lx: &Lexed, cx: &Context) -> FileModel {
                     rhs_text: text_of(lx, i + 2, rp),
                 });
             }
-            // Parallel root: `scope.spawn(...)` (any receiver) or a
-            // `thread::spawn(...)` path call.
-            if id == "spawn"
-                && (kind == CallKind::Method
-                    || (kind == CallKind::Free && i >= 3 && ident(lx, i - 3) == Some("thread")))
-            {
-                m.spawns.push(SpawnSite {
-                    line: lx.tokens[i].line,
-                    fn_idx: caller,
-                    lp: i + 1,
-                    rp,
-                });
-            }
-            // Lock acquisition: `recv.lock(...)`, with the receiver
-            // normalized into the lock's graph identity and the guard
-            // binder captured when the result is `let`-bound.
-            if id == "lock" && kind == CallKind::Method && i >= 2 {
-                let h = recv_start(lx, i - 2);
-                let binder = if punct(lx, h.wrapping_sub(1), '=')
-                    && !punct(lx, h.wrapping_sub(2), '=')
-                {
-                    match (ident(lx, h.wrapping_sub(2)), ident(lx, h.wrapping_sub(3))) {
-                        (Some(b), Some("let")) => Some(b.to_string()),
-                        (Some(b), Some("mut")) if ident(lx, h.wrapping_sub(4)) == Some("let") => {
-                            Some(b.to_string())
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                m.locks.push(LockSite {
-                    recv: tight_text(lx, h, i - 1),
-                    binder,
-                    line: lx.tokens[i].line,
-                    fn_idx: caller,
-                    tok: i,
-                });
-            }
-            // Atomic access: an atomic-shaped method whose argument list
-            // names an `Ordering::*` constant.
-            if kind == CallKind::Method && ATOMIC_METHODS.contains(&id) && i >= 2 {
-                let mut ordering = None;
-                let mut j = i + 2;
-                while j < rp {
-                    if let Some(p) = cap_path_at(lx, j) {
-                        if p.owner == "Ordering" {
-                            ordering = Some(p.name);
-                            break;
-                        }
-                        j += 4;
-                    } else {
-                        j += 1;
-                    }
-                }
-                if let Some(ordering) = ordering {
-                    let h = recv_start(lx, i - 2);
-                    m.atomics.push(AtomicSite {
-                        recv: tight_text(lx, h, i - 1),
-                        method: id.to_string(),
-                        ordering,
-                        line: lx.tokens[i].line,
-                        fn_idx: caller,
-                        tok: i,
-                    });
-                }
-            }
             m.calls.push(CallSite {
                 caller,
                 kind,
                 callee: id.to_string(),
                 line: lx.tokens[i].line,
-                tok: i,
                 args,
             });
-            // Output handle acquisition: `stdout()` / `stderr()` (with or
-            // without an `io::` qualifier).
-            if id == "stdout" || id == "stderr" {
-                m.prints.push(ParSite {
-                    name: id.to_string(),
-                    line: lx.tokens[i].line,
-                    fn_idx: caller,
-                    tok: i,
-                });
-            }
-        }
-        // Output macro invocation: `println!(...)` and friends.
-        if PRINT_MACROS.contains(&id) && punct(lx, i + 1, '!') {
-            m.prints.push(ParSite {
-                name: id.to_string(),
-                line: lx.tokens[i].line,
-                fn_idx: enclosing_fn_idx(&m.fns, i),
-                tok: i,
-            });
-        }
-        // Interior-mutability cell mention outside `thread_local!`.
-        if CELL_TYPES.contains(&id) && !in_thread_local(i) {
-            m.interior_muts.push(ParSite {
-                name: id.to_string(),
-                line: lx.tokens[i].line,
-                fn_idx: enclosing_fn_idx(&m.fns, i),
-                tok: i,
-            });
-        }
-        // Mutable static declaration: `static mut NAME`.
-        if id == "static" && ident(lx, i + 1) == Some("mut") {
-            if let Some(name) = ident(lx, i + 2) {
-                m.static_muts
-                    .push((name.to_string(), lx.tokens[i + 2].line));
-                static_mut_decl_toks.push(i + 2);
-            }
-        }
-        // `unsafe` keyword: the audit rule demands a // SAFETY: comment
-        // within the three lines above it.
-        if id == "unsafe" {
-            let line = lx.tokens[i].line;
-            let has_safety = lx
-                .comments
-                .iter()
-                .any(|c| c.line <= line && c.line + 3 >= line && c.text.contains("SAFETY"));
-            m.unsafe_sites.push(UnsafeSite { line, has_safety });
-        }
-        // Crate-level `#![forbid(unsafe_code)]`.
-        if id == "forbid" && punct(lx, i + 1, '(') && ident(lx, i + 2) == Some("unsafe_code") {
-            m.has_forbid_unsafe = true;
         }
         // Field access: `.name` not part of a range, a method call, or a
         // float literal (the lexer folds those into one Lit token).
@@ -1304,27 +957,6 @@ pub fn extract(file: &str, lx: &Lexed, cx: &Context) -> FileModel {
                         });
                     }
                 }
-            }
-        }
-    }
-    // Same-file references to declared mutable statics (cross-file refs
-    // are a documented imprecision: `static mut` is rare enough that the
-    // declaring file's own uses cover the workspace idioms).
-    if !m.static_muts.is_empty() {
-        for i in 0..n {
-            if cx.test[i] || static_mut_decl_toks.contains(&i) {
-                continue;
-            }
-            let Some(id) = ident(lx, i) else {
-                continue;
-            };
-            if m.static_muts.iter().any(|(name, _)| name == id) {
-                m.static_mut_refs.push(ParSite {
-                    name: id.to_string(),
-                    line: lx.tokens[i].line,
-                    fn_idx: enclosing_fn_idx(&m.fns, i),
-                    tok: i,
-                });
             }
         }
     }
@@ -1511,76 +1143,6 @@ mod tests {
         let src = "fn step(&mut self) { self.rng ^= 17; }\n";
         let m = model(src);
         assert!(m.rng_sites.is_empty(), "{:?}", m.rng_sites);
-    }
-
-    #[test]
-    fn spawn_lock_and_atomic_sites_extracted() {
-        let src = "fn run(pool: &Pool, cursor: &AtomicUsize) {\n    std::thread::scope(|scope| {\n        scope.spawn(|| {\n            let i = cursor.fetch_add(1, Ordering::Relaxed);\n            let g = pool.m1.lock().unwrap();\n            step(i, g);\n        });\n    });\n}\n";
-        let m = model(src);
-        assert_eq!(m.spawns.len(), 1);
-        assert_eq!(m.spawns[0].line, 3);
-        assert_eq!(m.spawns[0].fn_idx, Some(0));
-        // The closure body's calls lie inside the spawn span.
-        let step = m.calls.iter().find(|c| c.callee == "step").unwrap();
-        assert!(m.spawns[0].lp < step.tok && step.tok < m.spawns[0].rp);
-        assert_eq!(m.locks.len(), 1);
-        assert_eq!(m.locks[0].recv, "pool.m1");
-        assert_eq!(m.locks[0].binder.as_deref(), Some("g"));
-        assert_eq!(m.atomics.len(), 1);
-        assert_eq!(m.atomics[0].recv, "cursor");
-        assert_eq!(m.atomics[0].ordering, "Relaxed");
-    }
-
-    #[test]
-    fn statement_lock_has_no_binder_and_indexed_recv() {
-        let src = "fn put(slots: &[Mutex<u8>], i: usize, v: u8) {\n    *slots[i].lock().unwrap() = v;\n}\n";
-        let m = model(src);
-        assert_eq!(m.locks.len(), 1);
-        assert_eq!(m.locks[0].recv, "slots[i]");
-        assert_eq!(m.locks[0].binder, None);
-    }
-
-    #[test]
-    fn thread_local_cells_are_exempt_but_naked_cells_are_not() {
-        let src = "thread_local! {\n    static ACC: RefCell<Vec<u8>> = RefCell::new(Vec::new());\n}\nfn f() { let c = RefCell::new(0u8); }\n";
-        let m = model(src);
-        let lines: Vec<u32> = m.interior_muts.iter().map(|s| s.line).collect();
-        assert_eq!(lines, vec![4], "{:?}", m.interior_muts);
-    }
-
-    #[test]
-    fn static_mut_decl_and_refs() {
-        let src = "static mut COUNTER: u64 = 0;\nfn bump() { inc(COUNTER); }\n";
-        let m = model(src);
-        assert_eq!(m.static_muts, vec![("COUNTER".to_string(), 1)]);
-        assert_eq!(m.static_mut_refs.len(), 1);
-        assert_eq!(m.static_mut_refs[0].line, 2);
-        assert_eq!(m.static_mut_refs[0].fn_idx, Some(0));
-    }
-
-    #[test]
-    fn print_sites_macro_and_handle_forms() {
-        let src = "fn f() {\n    println!(\"x\");\n    let out = std::io::stdout();\n}\nfn not_a_macro() { println(); }\n";
-        let m = model(src);
-        let names: Vec<(&str, u32)> = m.prints.iter().map(|s| (s.name.as_str(), s.line)).collect();
-        assert_eq!(names, vec![("println", 2), ("stdout", 3)]);
-    }
-
-    #[test]
-    fn unsafe_sites_and_forbid_attr() {
-        let src = "#![forbid(unsafe_code)]\nfn f() { g(); }\n";
-        let m = model(src);
-        assert!(m.has_forbid_unsafe);
-        assert!(m.unsafe_sites.is_empty());
-        let src2 = "// SAFETY: the index is bounds-checked above.\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n\n\n\nfn g(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let m2 = model(src2);
-        assert!(!m2.has_forbid_unsafe);
-        let sites: Vec<(u32, bool)> = m2
-            .unsafe_sites
-            .iter()
-            .map(|s| (s.line, s.has_safety))
-            .collect();
-        assert_eq!(sites, vec![(2, true), (6, false)]);
     }
 
     #[test]

@@ -19,22 +19,11 @@ pub struct FilePolicy {
     pub panic: bool,
     pub hygiene: bool,
     pub event: bool,
-    pub index: bool,
     /// Dataflow rules (checked per *defining* file: RNG sites here for
     /// `seed-taint`, `*Config` structs here for `dead-config` — consumers
     /// anywhere in the workspace count regardless of their own policy).
     pub seed_taint: bool,
     pub dead_config: bool,
-    /// Parallelism rules (checked per *site* file: a worker-reachable fn
-    /// in a file with the rule off is exempt even when the spawn lives
-    /// elsewhere). `output_order` off marks a sanctioned
-    /// deterministic-merge site; `atomic_ordering` exemptions for named
-    /// counters live in [`crate::config::relaxed_counters`] instead.
-    pub shared_mut: bool,
-    pub output_order: bool,
-    pub lock_graph: bool,
-    pub atomic_ordering: bool,
-    pub unsafe_audit: bool,
 }
 
 impl FilePolicy {
@@ -44,14 +33,8 @@ impl FilePolicy {
         panic: true,
         hygiene: true,
         event: true,
-        index: true,
         seed_taint: true,
         dead_config: true,
-        shared_mut: true,
-        output_order: true,
-        lock_graph: true,
-        atomic_ordering: true,
-        unsafe_audit: true,
     };
 }
 
@@ -200,26 +183,6 @@ pub fn check_tokens(file: &str, lx: &Lexed, cx: &Context, p: &FilePolicy) -> Vec
     for i in 0..n {
         let in_test = cx.test[i];
         let Some(id) = ident(lx, i) else {
-            // Index rule keys off punctuation; everything else needs an
-            // ident at `i`.
-            if p.index && !in_test && punct(lx, i, '[') && i > 0 {
-                let indexee = matches!(
-                    lx.tokens[i - 1].tok,
-                    Tok::Ident(_) | Tok::Punct(']') | Tok::Punct(')')
-                );
-                // `#[attr]` and `![...]` openings follow `#`/`!`, never an
-                // ident/`]`/`)`, so the indexee test already excludes them.
-                if indexee {
-                    emit(
-                        i,
-                        Rule::Index,
-                        Severity::Info,
-                        "slice indexing can panic; consider get()/get_mut() or a \
-                         check-gated bounds assert on the hot path"
-                            .to_string(),
-                    );
-                }
-            }
             continue;
         };
 
@@ -471,16 +434,6 @@ mod tests {
         // Free functions and unrelated identifiers stay clean.
         let clean = "fn f() { pop_batch(); let rescind_delivered = 1; }";
         assert!(rules_hit(clean).is_empty());
-    }
-
-    #[test]
-    fn indexing_is_info_and_attrs_are_not_indexing() {
-        let src = "#[derive(Debug)]\nstruct S;\nfn f(v: &[u8]) -> u8 { v[0] }";
-        let diags = run(src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, Rule::Index);
-        assert_eq!(diags[0].severity, Severity::Info);
-        assert_eq!(diags[0].line, 3);
     }
 
     #[test]

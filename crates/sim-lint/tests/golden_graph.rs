@@ -1,11 +1,10 @@
 //! Golden snapshot of the real event-protocol graph's DOT export.
 //!
 //! The committed golden (`tests/golden/event-graph.dot`) is the reviewed
-//! shape of the protocol. It is stored with the `line=N` node attributes
-//! stripped ([`sim_lint::callgraph::strip_line_attrs`]) so pure line
-//! shifts never churn it; any change to the Event enum, a producer site,
-//! or the dispatcher still shows up as a reviewable diff. Refresh
-//! deliberately with:
+//! shape of the protocol. The DOT carries no line numbers, so pure line
+//! shifts never churn it, and it compares raw; any change to the Event
+//! enum, a producer site, or the dispatcher still shows up as a
+//! reviewable diff. Refresh deliberately with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p sim-lint --test golden_graph
@@ -21,7 +20,7 @@ fn event_graph_dot_matches_committed_golden() {
         .expect("workspace root");
     let a = sim_lint::flow::analyze_workspace(root).expect("workspace walk succeeds");
     let g = a.graph.expect("Event protocol enum found");
-    let dot = sim_lint::callgraph::strip_line_attrs(&g.to_dot());
+    let dot = g.to_dot();
 
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/event-graph.dot");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {

@@ -3,7 +3,7 @@
 //! `serde_json` and preserves every field — including hostile strings.
 
 use serde::Value;
-use sim_lint::diag::{to_json, Diagnostic, GraphSummary, ParSummary, Rule, Severity};
+use sim_lint::diag::{to_json, Diagnostic, GraphSummary, Rule, Severity};
 
 fn field<'a>(obj: &'a Value, key: &str) -> &'a Value {
     obj.as_object()
@@ -32,7 +32,7 @@ fn sample() -> Vec<Diagnostic> {
         Diagnostic {
             file: "x.rs".to_string(),
             line: 1,
-            rule: Rule::Index,
+            rule: Rule::Hygiene,
             severity: Severity::Info,
             message: String::new(),
         },
@@ -42,10 +42,10 @@ fn sample() -> Vec<Diagnostic> {
 #[test]
 fn json_output_roundtrips_through_serde_json() {
     let diags = sample();
-    let json = to_json(&diags, None, None);
+    let json = to_json(&diags, None);
     let v: Value = serde_json::from_str(&json).expect("emitter output must be valid JSON");
 
-    assert_eq!(field(&v, "version"), &Value::U64(3));
+    assert_eq!(field(&v, "version"), &Value::U64(4));
     let summary = field(&v, "summary");
     assert_eq!(field(summary, "errors"), &Value::U64(1));
     assert_eq!(field(summary, "warnings"), &Value::U64(1));
@@ -66,7 +66,7 @@ fn json_output_roundtrips_through_serde_json() {
 
 #[test]
 fn empty_diagnostics_is_still_a_valid_document() {
-    let v: Value = serde_json::from_str(&to_json(&[], None, None)).expect("valid JSON");
+    let v: Value = serde_json::from_str(&to_json(&[], None)).expect("valid JSON");
     let summary = field(&v, "summary");
     assert_eq!(field(summary, "errors"), &Value::U64(0));
     assert!(field(&v, "diagnostics")
@@ -82,26 +82,12 @@ fn callgraph_summary_block_parses_when_present() {
         roots: 2,
         hot: 9,
     };
-    let v: Value = serde_json::from_str(&to_json(&[], Some(&g), None)).expect("valid JSON");
+    let v: Value = serde_json::from_str(&to_json(&[], Some(&g))).expect("valid JSON");
     let cg = field(&v, "callgraph");
     assert_eq!(field(cg, "functions"), &Value::U64(12));
     assert_eq!(field(cg, "edges"), &Value::U64(34));
     assert_eq!(field(cg, "roots"), &Value::U64(2));
     assert_eq!(field(cg, "hot"), &Value::U64(9));
-}
-
-#[test]
-fn par_summary_block_parses_when_present() {
-    let p = ParSummary {
-        roots: 3,
-        worker_reachable: 17,
-        lock_edges: 1,
-    };
-    let v: Value = serde_json::from_str(&to_json(&[], None, Some(&p))).expect("valid JSON");
-    let par = field(&v, "par");
-    assert_eq!(field(par, "roots"), &Value::U64(3));
-    assert_eq!(field(par, "worker_reachable"), &Value::U64(17));
-    assert_eq!(field(par, "lock_edges"), &Value::U64(1));
 }
 
 #[test]
@@ -111,7 +97,7 @@ fn workspace_json_document_parses() {
         .nth(2)
         .expect("workspace root");
     let diags = sim_lint::lint_workspace(root).expect("workspace walk succeeds");
-    let v: Value = serde_json::from_str(&to_json(&diags, None, None)).expect("valid JSON");
+    let v: Value = serde_json::from_str(&to_json(&diags, None)).expect("valid JSON");
     let items = field(&v, "diagnostics").as_array().expect("array");
     assert_eq!(items.len(), diags.len());
 }

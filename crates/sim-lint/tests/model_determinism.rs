@@ -1,6 +1,6 @@
 //! Determinism properties of the model/dataflow layer: per-file model
 //! extraction is byte-stable, and the whole analysis — diagnostics and
-//! the call-graph DOT — is independent of the order files are fed in.
+//! the call graph — is independent of the order files are fed in.
 
 use std::path::{Path, PathBuf};
 
@@ -66,7 +66,7 @@ fn analysis_is_independent_of_file_ordering() {
     let sorted = workspace_sources();
     let reference = analyze_sources_with(&sorted, &features);
     let ref_diags = format!("{:?}", reference.diags);
-    let ref_dot = reference.callgraph.to_dot();
+    let ref_graph = format!("{:?}", reference.callgraph);
 
     // Reversed, and rotated by a third: both must match byte-for-byte.
     let mut reversed = workspace_sources();
@@ -83,9 +83,9 @@ fn analysis_is_independent_of_file_ordering() {
             "diagnostics differ under {label} input order"
         );
         assert_eq!(
-            a.callgraph.to_dot(),
-            ref_dot,
-            "call-graph DOT differs under {label} input order"
+            format!("{:?}", a.callgraph),
+            ref_graph,
+            "call graph differs under {label} input order"
         );
     }
 }
@@ -114,7 +114,7 @@ fn synthetic_corpus_is_order_independent_too() {
             })
             .collect();
         let a = analyze_sources_with(&srcs, &std::collections::BTreeSet::new());
-        (format!("{:?}", a.diags), a.callgraph.to_dot())
+        (format!("{:?}", a.diags), format!("{:?}", a.callgraph))
     };
     assert_eq!(mk(&[0, 1]), mk(&[1, 0]));
 }
