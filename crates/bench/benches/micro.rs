@@ -9,26 +9,68 @@ fn key(v: u64) -> TranslationKey {
     TranslationKey::new(Asid(0), VirtPage(v))
 }
 
+/// An LRU TLB with every way of every set occupied, plus the next key
+/// that was never inserted.
+fn full_tlb(entries: usize, ways: usize) -> (tlb::Tlb, u64) {
+    use tlb::{ReplacementPolicy, Tlb, TlbConfig, TlbEntry};
+    let mut t = Tlb::new(TlbConfig::new(entries, ways, ReplacementPolicy::Lru));
+    let mut v = 0u64;
+    while t.len() < t.capacity() {
+        t.insert(key(v), TlbEntry::new(PhysPage(v)));
+        v += 1;
+    }
+    (t, v)
+}
+
 fn tlb_ops(c: &mut Criterion) {
     use tlb::{ReplacementPolicy, Tlb, TlbConfig, TlbEntry};
     let mut group = c.benchmark_group("tlb");
-    group.bench_function("lookup_hit_512x16", |b| {
-        let mut t = Tlb::new(TlbConfig::new(512, 16, ReplacementPolicy::Lru));
-        for v in 0..512 {
-            t.insert(key(v), TlbEntry::new(PhysPage(v)));
-        }
-        let mut v = 0u64;
+    // Each TLB is built outside its timed closure: the harness calls the
+    // closure once per sample, so state built inside it would be rebuilt
+    // (and re-warmed) for every few hundred timed calls.
+    //
+    // The per-CU L1 geometry: 16 entries, fully associative.
+    let mut l1 = Tlb::new(TlbConfig::fully_associative(16, ReplacementPolicy::Lru));
+    for v in 0..16 {
+        l1.insert(key(v), TlbEntry::new(PhysPage(v)));
+    }
+    let mut v = 0u64;
+    group.bench_function("lookup_hit_16fa", |b| {
         b.iter(|| {
-            v = (v + 17) % 512;
-            black_box(t.lookup(key(v)))
+            v = (v + 5) % 16;
+            black_box(l1.lookup(key(v)))
         });
     });
+    // The L2 geometry: 512 entries, 16-way.
+    let (mut l2, _) = full_tlb(512, 16);
+    let mut v = 0u64;
+    group.bench_function("lookup_hit_512x16", |b| {
+        b.iter(|| {
+            v = (v + 17) % 512;
+            black_box(l2.lookup(key(v)))
+        });
+    });
+    let mut v = 1 << 20;
     group.bench_function("insert_evict_512x16", |b| {
-        let mut t = Tlb::new(TlbConfig::new(512, 16, ReplacementPolicy::Lru));
-        let mut v = 0u64;
         b.iter(|| {
             v += 1;
-            black_box(t.insert(key(v), TlbEntry::new(PhysPage(v))))
+            black_box(l2.insert(key(v), TlbEntry::new(PhysPage(v))))
+        });
+    });
+    // The IOMMU geometry with full sets: a miss scans all 64 ways, and an
+    // insert of a fresh key always evicts.
+    let (mut iommu, fresh) = full_tlb(4096, 64);
+    let mut v = fresh;
+    group.bench_function("lookup_miss_4096x64", |b| {
+        b.iter(|| {
+            v += 1;
+            black_box(iommu.lookup(key(v)))
+        });
+    });
+    group.bench_function("insert_evict_4096x64", |b| {
+        b.iter(|| {
+            v += 1;
+            black_box(iommu.insert(key(v), TlbEntry::new(PhysPage(v))))
         });
     });
     group.finish();

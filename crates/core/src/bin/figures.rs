@@ -37,7 +37,13 @@
 //! tracks in each trace. `--profile-json FILE` enables the host-side
 //! handler profiler and writes the suite-merged report — wall-clock
 //! derived, non-deterministic, never part of the byte-stable outputs.
+//!
+//! Output files are created before the suite runs, so an unwritable
+//! `--metrics-json`, `--timeline-json` or `--profile-json` path exits 2 at
+//! once; a per-run `--trace-out` file that cannot be written also exits 2.
 
+use std::fs::File;
+use std::io::Write;
 use std::time::Instant;
 
 use least_tlb::experiments::{run_suite, telemetry_table, ExpOptions, ALL_EXPERIMENTS};
@@ -57,6 +63,39 @@ fn usage_error(msg: &str) -> ! {
          [--topology-sweep] [experiments... | all]"
     );
     std::process::exit(2);
+}
+
+/// Reports an output file that cannot be created or written, without a
+/// panic backtrace, and exits 2.
+fn file_error(flag: &str, path: &str, e: &std::io::Error) -> ! {
+    eprintln!("figures: {flag} {path}: {e}");
+    std::process::exit(2);
+}
+
+/// An output file named by `flag`, created before the suite runs so an
+/// unwritable path costs no simulation time.
+struct Output {
+    flag: &'static str,
+    path: String,
+    file: File,
+}
+
+impl Output {
+    fn create(flag: &'static str, path: Option<&String>) -> Option<Output> {
+        let path = path?.clone();
+        match File::create(&path) {
+            Ok(file) => Some(Output { flag, path, file }),
+            Err(e) => file_error(flag, &path, &e),
+        }
+    }
+
+    /// Writes `json` and returns the path, for the caller's report.
+    fn write(mut self, json: &str) -> String {
+        if let Err(e) = self.file.write_all(json.as_bytes()) {
+            file_error(self.flag, &self.path, &e);
+        }
+        self.path
+    }
 }
 
 /// The next argument parsed as `T`, or a usage error naming the flag and
@@ -172,6 +211,10 @@ fn main() {
         std::process::exit(2);
     }
 
+    let metrics_out = Output::create("--metrics-json", metrics_json.as_ref());
+    let timeline_out = Output::create("--timeline-json", timeline_json.as_ref());
+    let profile_out = Output::create("--profile-json", profile_json.as_ref());
+
     opts.metrics = breakdown || metrics_json.is_some();
     opts.timeline = timeline || timeline_json.is_some() || opts.timeline_window > 0;
     opts.trace = trace_out.is_some();
@@ -201,13 +244,13 @@ fn main() {
             eprintln!("{}", least_tlb::latency_breakdown(&outcome.metrics));
         }
     }
-    if let Some(path) = &metrics_json {
+    if let Some(out) = metrics_out {
         let mut merged = obs::MetricsSnapshot::default();
         for outcome in &outcomes {
             merged.absorb(&outcome.metrics);
         }
         let json = serde_json::to_string_pretty(&merged).expect("serializable");
-        std::fs::write(path, json).expect("metrics file writes");
+        let path = out.write(&json);
         eprintln!("wrote merged metrics snapshot to {path}");
     }
     if timeline {
@@ -223,21 +266,20 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &timeline_json {
-        let json = timeline_json_report(&outcomes);
-        std::fs::write(path, json).expect("timeline file writes");
+    if let Some(out) = timeline_out {
+        let path = out.write(&timeline_json_report(&outcomes));
         eprintln!("wrote timeline series to {path}");
     }
     if let Some(base) = &trace_out {
         write_traces(base, &outcomes);
     }
-    if let Some(path) = &profile_json {
+    if let Some(out) = profile_out {
         let mut merged = obs::ProfileReport::default();
         for outcome in &outcomes {
             merged.absorb(&outcome.profile);
         }
         let json = serde_json::to_string_pretty(&merged).expect("serializable");
-        std::fs::write(path, json).expect("profile file writes");
+        let path = out.write(&json);
         for h in merged.handlers.iter().take(5) {
             eprintln!(
                 "  profile: {:<14} {:>12} events  {:>8} ns/event",
@@ -310,7 +352,9 @@ fn write_traces(base: &str, outcomes: &[least_tlb::experiments::SuiteOutcome]) {
     for outcome in outcomes {
         for (i, (workload, doc)) in outcome.traces.iter().enumerate() {
             let path = format!("{stem}-{}-{i}{ext}", outcome.name);
-            std::fs::write(&path, doc).expect("trace-event file writes");
+            if let Err(e) = std::fs::write(&path, doc) {
+                file_error("--trace-out", &path, &e);
+            }
             eprintln!("wrote trace for {} / {workload} to {path}", outcome.name);
             files += 1;
         }

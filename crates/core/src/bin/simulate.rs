@@ -36,9 +36,14 @@
 //! tracks in the trace file. `--profile-json FILE` enables the host-side
 //! handler profiler and writes its wall-time report; the report is
 //! non-deterministic by nature and is excluded from `--json` output.
+//!
+//! Bad input ends in a message and exit code 2, never a panic: a bad flag,
+//! a missing or malformed `--replay-trace` file, an output path that cannot
+//! be created (checked before the run starts), and a workload the system
+//! cannot host.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 
 use least_tlb::trace::TranslationTrace;
 use least_tlb::{latency_breakdown, Policy, RunResult, System, SystemConfig, WorkloadSpec};
@@ -58,6 +63,54 @@ fn usage_error(msg: &str) -> ! {
          [--timeline-json FILE] [--timeline-window N] [--profile-json FILE]"
     );
     std::process::exit(2);
+}
+
+/// Reports an unusable input or output file (or a workload the system
+/// cannot host) without a panic backtrace, and exits 2.
+fn file_error(msg: &str) -> ! {
+    eprintln!("simulate: {msg}");
+    std::process::exit(2);
+}
+
+/// An output file named by `flag`, created before the simulation runs so
+/// an unwritable path fails at once rather than after the run.
+struct Output {
+    flag: &'static str,
+    path: String,
+    file: File,
+}
+
+impl Output {
+    fn create(flag: &'static str, path: Option<&String>) -> Option<Output> {
+        let path = path?.clone();
+        match File::create(&path) {
+            Ok(file) => Some(Output { flag, path, file }),
+            Err(e) => file_error(&format!("{flag} {path}: cannot create: {e}")),
+        }
+    }
+
+    /// Writes `bytes` and returns the path, for the caller's report.
+    fn write(self, bytes: &[u8]) -> String {
+        self.write_with(|w| w.write_all(bytes))
+    }
+
+    /// Streams the output through `f` and returns the path.
+    fn write_with(self, f: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) -> String {
+        let Output { flag, path, file } = self;
+        let mut w = BufWriter::new(file);
+        if let Err(e) = f(&mut w).and_then(|()| w.flush()) {
+            file_error(&format!("{flag} {path}: cannot write: {e}"));
+        }
+        path
+    }
+}
+
+/// Opens and parses the `--replay-trace` input.
+fn read_trace(path: &str) -> TranslationTrace {
+    let file = File::open(path)
+        .unwrap_or_else(|e| file_error(&format!("--replay-trace {path}: cannot open: {e}")));
+    TranslationTrace::read_from(BufReader::new(file))
+        .unwrap_or_else(|e| file_error(&format!("--replay-trace {path}: not a valid trace: {e}")))
 }
 
 struct Args {
@@ -295,49 +348,60 @@ fn main() {
     cfg.obs.timeline_window = args.timeline_window;
     cfg.obs.profile = args.profile_json.is_some();
 
-    let mut result = if let Some(path) = &args.replay_trace {
-        let file = File::open(path).expect("trace file opens");
-        let trace = TranslationTrace::read_from(BufReader::new(file)).expect("trace parses");
+    // Inputs are read and outputs created before the run, so a bad path
+    // costs no simulation time.
+    let replay = args
+        .replay_trace
+        .as_deref()
+        .map(|path| (path, read_trace(path)));
+    let record_out = Output::create("--record-trace", args.record_trace.as_ref());
+    let trace_out = Output::create("--trace-out", args.trace_out.as_ref());
+    let metrics_out = Output::create("--metrics-json", args.metrics_json.as_ref());
+    let timeline_out = Output::create("--timeline-json", args.timeline_json.as_ref());
+    let profile_out = Output::create("--profile-json", args.profile_json.as_ref());
+
+    let mut result = if let Some((path, trace)) = replay {
         eprintln!(
             "replaying {} recorded requests from {path} under policy '{}'",
             trace.len(),
             args.policy
         );
-        trace.replay(&cfg).expect("trace workload fits the system")
+        trace
+            .replay(&cfg)
+            .unwrap_or_else(|e| file_error(&format!("--replay-trace {path}: {e}")))
     } else {
         let spec = resolve_workload(&args.workload, args.gpus);
         System::new(&cfg, &spec)
-            .expect("workload fits the system")
+            .unwrap_or_else(|e| file_error(&format!("workload {}: {e}", args.workload)))
             .run()
     };
 
-    if let Some(path) = &args.record_trace {
+    if let Some(out) = record_out {
         let trace = result.trace.take().expect("trace was recorded");
-        let file = File::create(path).expect("trace file creates");
-        trace.write_to(BufWriter::new(file)).expect("trace writes");
+        let path = out.write_with(|w| trace.write_to(w));
         eprintln!("recorded {} requests to {path}", trace.len());
     }
 
-    if let Some(path) = &args.trace_out {
+    if let Some(out) = trace_out {
         let events = result
             .trace_events
             .take()
             .expect("trace events were collected");
-        std::fs::write(path, events).expect("trace-event file writes");
+        let path = out.write(events.as_bytes());
         eprintln!("wrote Chrome trace events to {path} (load at https://ui.perfetto.dev)");
     }
 
-    if let Some(path) = &args.metrics_json {
+    if let Some(out) = metrics_out {
         let metrics = result.metrics.as_ref().expect("metrics were collected");
         let json = serde_json::to_string_pretty(metrics).expect("serializable");
-        std::fs::write(path, json).expect("metrics file writes");
+        let path = out.write(json.as_bytes());
         eprintln!("wrote metrics snapshot to {path}");
     }
 
-    if let Some(path) = &args.timeline_json {
+    if let Some(out) = timeline_out {
         let timeline = result.timeline.as_ref().expect("timeline was collected");
         let json = serde_json::to_string_pretty(timeline).expect("serializable");
-        std::fs::write(path, json).expect("timeline file writes");
+        let path = out.write(json.as_bytes());
         eprintln!(
             "wrote timeline ({} windows of {} cycles) to {path}",
             timeline.windows.len(),
@@ -345,13 +409,13 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.profile_json {
+    if let Some(out) = profile_out {
         // The profile is host wall-time: informative, but never part of a
         // deterministic artifact. Take it out of the result so --json
         // output stays byte-comparable across machines and runs.
         let profile = result.profile.take().expect("profiler was enabled");
         let json = serde_json::to_string_pretty(&profile).expect("serializable");
-        std::fs::write(path, json).expect("profile file writes");
+        let path = out.write(json.as_bytes());
         for h in profile.handlers.iter().take(5) {
             eprintln!(
                 "  profile: {:<14} {:>12} events  {:>8} ns/event",

@@ -7,7 +7,7 @@ use gcn_model::{MshrOutcome, Waiter};
 use iommu::WalkRequest;
 use mgpu_types::{CuId, Cycle, DetMap, GpuId, PhysPage, TranslationKey, WavefrontId};
 use obs::Resolution;
-use tlb::TlbEntry;
+use tlb::{Displaced, TlbEntry};
 
 use super::{Event, Inclusion, NetMsg, RingState, System};
 use crate::results::SnapshotRecord;
@@ -481,7 +481,15 @@ impl System {
             return;
         }
 
-        match self.iommu.tlb.lookup(key) {
+        // least-inclusive: a hit *moves* the entry to the requesting GPU's
+        // L2 (paper Algorithm 1/2 lines 7-10), so the lookup takes it out.
+        let moves = self.cfg.policy.is_victim_hierarchy();
+        let hit = if moves {
+            self.iommu.tlb.lookup_take(key)
+        } else {
+            self.iommu.tlb.lookup(key)
+        };
+        match hit {
             Some(entry) => {
                 if recording {
                     self.apps[idx].stats.iommu_hits += 1;
@@ -489,10 +497,7 @@ impl System {
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.hop(Resolution::IommuHit);
                 }
-                if self.cfg.policy.is_victim_hierarchy() {
-                    // least-inclusive: the hit *moves* the entry to the
-                    // requesting GPU's L2 (paper Algorithm 1/2 lines 7-10).
-                    self.iommu.tlb.remove(key);
+                if moves {
                     self.iommu.count_remove(entry.origin);
                 }
                 let iommu = self.fabric.iommu_node();
@@ -795,14 +800,11 @@ impl System {
         depth: u32,
     ) {
         let g = gpu.index();
-        if self.gpus[g].l2_tlb.probe(key).is_some() {
+        if let Some(e) = self.gpus[g].l2_tlb.touch_mut(key) {
             // Racing duplicate (e.g. a spill landed while a fill was in
             // flight): refresh in place, keep the tracker's single
             // registration.
-            self.gpus[g].l2_tlb.touch(key);
-            if let Some(e) = self.gpus[g].l2_tlb.probe_mut(key) {
-                e.spill_credits = e.spill_credits.max(credits);
-            }
+            e.spill_credits = e.spill_credits.max(credits);
             return;
         }
         if let Some(tracker) = &mut self.tracker {
@@ -880,16 +882,16 @@ impl System {
                 }
             }
         }
-        if let Some(old) = self.iommu.tlb.probe(key) {
-            // Re-insertion of a key already resident: retarget its origin.
-            let old_origin = old.origin;
-            self.iommu.count_remove(old_origin);
-        }
-        self.iommu.count_insert(origin);
         let entry = TlbEntry::new(frame)
             .with_origin(origin)
             .with_spill_credits(credits);
-        let Some((vk, ve)) = self.iommu.tlb.insert(key, entry) else {
+        let displaced = self.iommu.tlb.insert_displacing(key, entry);
+        if let Displaced::Updated(old) = displaced {
+            // Re-insertion of a key already resident: retarget its origin.
+            self.iommu.count_remove(old.origin);
+        }
+        self.iommu.count_insert(origin);
+        let Displaced::Evicted(vk, ve) = displaced else {
             return;
         };
         self.iommu.count_remove(ve.origin);

@@ -8,6 +8,26 @@
 //! spill") and the originating GPU (for the IOMMU's per-GPU eviction
 //! counters).
 //!
+//! # Storage layout
+//!
+//! Every per-way field lives in a flat array indexed `set * ways + way`,
+//! so one set is a contiguous run in each array:
+//!
+//! - `keys` holds the resident [`TranslationKey`]s. A reserved key (ASID
+//!   `u16::MAX`, VPN `u64::MAX`) marks a free way, so a lookup or a miss
+//!   reads this array alone: 16 bytes a way, 1 KiB for a 64-way set.
+//!   [`Tlb::insert`] asserts that no caller inserts the reserved key.
+//! - `entries` (payloads) and the `last_used`/`inserted` stamps are
+//!   separate arrays, read only on a hit or when picking a victim.
+//!
+//! [`Tlb::insert`] scans its set once: the same pass finds the key (an
+//! in-place update), the first free way, and the LRU/FIFO victim. The
+//! combined operations [`Tlb::lookup_take`], [`Tlb::insert_displacing`]
+//! and [`Tlb::touch_mut`] give callers one scan where they would
+//! otherwise make two (lookup then remove, probe then insert, touch then
+//! probe); each has exactly the effect of the two-call sequence it
+//! replaces.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,7 +51,7 @@ mod stats;
 
 pub use stats::TlbStats;
 
-use mgpu_types::{Asid, GpuId, PhysPage, TranslationKey};
+use mgpu_types::{Asid, GpuId, PhysPage, TranslationKey, VirtPage};
 use serde::{Deserialize, Serialize};
 
 /// Replacement policy applied within each set.
@@ -126,12 +146,32 @@ impl TlbEntry {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: TranslationKey,
-    entry: TlbEntry,
-    last_used: u64,
-    inserted: u64,
+/// Reserved key that marks an empty way in the flat key array. No real
+/// translation can use it: [`Tlb::insert`] rejects it.
+const EMPTY: TranslationKey = TranslationKey {
+    asid: Asid(u16::MAX),
+    vpn: VirtPage(u64::MAX),
+};
+
+/// What [`Tlb::insert_displacing`] pushed out to make room for its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Displaced {
+    /// The key was absent and took a free way.
+    Nothing,
+    /// The key was already resident; this is the payload it replaced.
+    Updated(TlbEntry),
+    /// The key's set was full; this is the evicted victim.
+    Evicted(TranslationKey, TlbEntry),
+}
+
+/// Outcome of one pass over a set (see [`Tlb::scan`]), as a way index.
+enum Scan {
+    /// The way holding the key.
+    Hit(usize),
+    /// The first free way (the key is absent).
+    Free(usize),
+    /// The set is full and the key absent; carries the LRU/FIFO victim.
+    Full(usize),
 }
 
 /// A set-associative TLB.
@@ -140,7 +180,17 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<Option<Slot>>>,
+    /// Log2 of the set count (sets are indexed by folded VPN bits).
+    set_bits: u32,
+    /// Resident keys, set-major (`set * ways + way`); [`EMPTY`] marks a
+    /// free way. The only array a miss reads.
+    keys: Vec<TranslationKey>,
+    /// Payloads, parallel to `keys`; meaningless at free ways.
+    entries: Vec<TlbEntry>,
+    /// LRU stamps, parallel to `keys`.
+    last_used: Vec<u64>,
+    /// FIFO stamps, parallel to `keys`.
+    inserted: Vec<u64>,
     tick: u64,
     len: usize,
     stats: TlbStats,
@@ -168,9 +218,14 @@ impl Tlb {
         );
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let n = config.entries;
         Tlb {
             config,
-            sets: vec![vec![None; config.ways]; sets],
+            set_bits: sets.trailing_zeros(),
+            keys: vec![EMPTY; n],
+            entries: vec![TlbEntry::new(PhysPage(0)); n],
+            last_used: vec![0; n],
+            inserted: vec![0; n],
             tick: 0,
             len: 0,
             stats: TlbStats::default(),
@@ -218,19 +273,50 @@ impl Tlb {
         // index bits), as used by real TLBs to avoid pathological aliasing
         // of strided/partitioned data layouts; the ASID is folded in so
         // that co-running applications do not all collide on the same sets.
-        let sets = self.sets.len() as u64;
-        let s = sets.trailing_zeros();
+        let s = self.set_bits;
         let v = key.vpn.0;
         let folded = v ^ (v >> s) ^ (v >> (2 * s)) ^ u64::from(key.asid.0).wrapping_mul(0x9e37);
-        (folded & (sets - 1)) as usize
+        (folded & ((1u64 << s) - 1)) as usize
     }
 
-    fn find(&self, key: TranslationKey) -> Option<(usize, usize)> {
-        let si = self.set_index(key);
-        self.sets[si]
+    /// Flat index of way 0 of `key`'s home set.
+    fn set_base(&self, key: TranslationKey) -> usize {
+        self.set_index(key) * self.config.ways
+    }
+
+    /// Flat index of the way holding `key`, if resident.
+    fn find(&self, key: TranslationKey) -> Option<usize> {
+        let base = self.set_base(key);
+        self.keys[base..base + self.config.ways]
             .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.key == key))
-            .map(|wi| (si, wi))
+            .position(|&k| k == key)
+            .map(|w| base + w)
+    }
+
+    /// One pass over the set at `base`: the way holding `key`, else the
+    /// first free way, else the policy's LRU/FIFO victim (`Random` draws
+    /// its victim afterwards and ignores the one returned here).
+    fn scan(&self, base: usize, key: TranslationKey) -> Scan {
+        let ways = base..base + self.config.ways;
+        let stamps = match self.config.replacement {
+            ReplacementPolicy::Fifo => &self.inserted[ways.clone()],
+            ReplacementPolicy::Lru | ReplacementPolicy::Random => &self.last_used[ways.clone()],
+        };
+        let mut free = None;
+        let mut oldest = (0, u64::MAX);
+        for (w, (&k, &stamp)) in self.keys[ways].iter().zip(stamps).enumerate() {
+            if k == key {
+                return Scan::Hit(w);
+            }
+            if k == EMPTY {
+                free = free.or(Some(w));
+            } else if stamp < oldest.1 {
+                // Stamps are unique, so the strict `<` keeps the first
+                // minimum, as a `min_by_key` over the set would.
+                oldest = (w, stamp);
+            }
+        }
+        free.map_or(Scan::Full(oldest.0), Scan::Free)
     }
 
     /// Looks up `key`, recording a hit or miss and refreshing recency on a
@@ -238,12 +324,26 @@ impl Tlb {
     pub fn lookup(&mut self, key: TranslationKey) -> Option<TlbEntry> {
         self.tick += 1;
         self.stats.lookups += 1;
-        if let Some((si, wi)) = self.find(key) {
+        if let Some(i) = self.find(key) {
             self.stats.hits += 1;
-            // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-            let slot = self.sets[si][wi].as_mut().expect("found slot is valid");
-            slot.last_used = self.tick;
-            Some(slot.entry)
+            self.last_used[i] = self.tick;
+            Some(self.entries[i])
+        } else {
+            self.stats.misses += 1;
+            None
+        }
+    }
+
+    /// [`Self::lookup`] that also removes `key` on a hit, in one set scan:
+    /// the same result, statistics and contents as `lookup` followed by
+    /// [`Self::remove`] when it hit (the least-inclusive move-on-hit).
+    pub fn lookup_take(&mut self, key: TranslationKey) -> Option<TlbEntry> {
+        self.tick += 1;
+        self.stats.lookups += 1;
+        if let Some(i) = self.find(key) {
+            self.stats.hits += 1;
+            self.vacate(i, key);
+            Some(self.entries[i])
         } else {
             self.stats.misses += 1;
             None
@@ -253,119 +353,113 @@ impl Tlb {
     /// Inspects `key` without touching statistics or recency.
     #[must_use]
     pub fn probe(&self, key: TranslationKey) -> Option<&TlbEntry> {
-        self.find(key).map(|(si, wi)| {
-            &self.sets[si][wi]
-                .as_ref()
-                // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-                .expect("found slot is valid")
-                .entry
-        })
+        self.find(key).map(|i| &self.entries[i])
     }
 
     /// Mutable access to an entry's payload without touching statistics or
     /// recency (used to reset spill bits on remote reuse).
     pub fn probe_mut(&mut self, key: TranslationKey) -> Option<&mut TlbEntry> {
-        self.find(key).map(|(si, wi)| {
-            &mut self.sets[si][wi]
-                .as_mut()
-                // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-                .expect("found slot is valid")
-                .entry
-        })
+        self.find(key).map(|i| &mut self.entries[i])
     }
 
     /// Inserts (or updates) `key → entry`, returning the victim evicted to
     /// make room, if the target set was full and `key` was absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is the reserved empty-way key (ASID `u16::MAX`,
+    /// VPN `u64::MAX`), which no real translation uses.
     pub fn insert(
         &mut self,
         key: TranslationKey,
         entry: TlbEntry,
     ) -> Option<(TranslationKey, TlbEntry)> {
-        let victim = self.insert_inner(key, entry);
-        self.check_home_set(key);
-        victim
+        match self.insert_displacing(key, entry) {
+            Displaced::Evicted(vk, ve) => Some((vk, ve)),
+            Displaced::Nothing | Displaced::Updated(_) => None,
+        }
     }
 
-    fn insert_inner(
-        &mut self,
-        key: TranslationKey,
-        entry: TlbEntry,
-    ) -> Option<(TranslationKey, TlbEntry)> {
+    /// [`Self::insert`] that also reports the payload an in-place update
+    /// replaced, so callers need no [`Self::probe`] beforehand. The set is
+    /// scanned once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is the reserved empty-way key, as [`Self::insert`].
+    pub fn insert_displacing(&mut self, key: TranslationKey, entry: TlbEntry) -> Displaced {
+        // sim-lint: allow(hygiene, reason = "documented API contract: the reserved empty-way key would silently vanish from the set, so release runs must abort too")
+        assert!(
+            key != EMPTY,
+            "{key:?} is the TLB's reserved empty-way key and cannot be inserted"
+        );
         self.tick += 1;
         self.stats.insertions += 1;
-        let si = self.set_index(key);
-        // Update in place if present.
-        if let Some(wi) = self.sets[si]
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.key == key))
-        {
-            // sim-lint: allow(panic-reach, reason = "wi came from position() over this same set two lines up")
-            let slot = self.sets[si][wi].as_mut().expect("present");
-            slot.entry = entry;
-            slot.last_used = self.tick;
-            return None;
-        }
-        // Free way if available.
-        if let Some(wi) = self.sets[si].iter().position(Option::is_none) {
-            self.sets[si][wi] = Some(Slot {
-                key,
-                entry,
-                last_used: self.tick,
-                inserted: self.tick,
-            });
-            self.len += 1;
-            return None;
-        }
-        // Evict per policy.
-        let wi = self.victim_way(si);
-        // sim-lint: allow(panic-reach, reason = "this path is reached only when the free-way scan failed, so every way is occupied")
-        let victim = self.sets[si][wi].expect("full set has valid ways");
-        self.sets[si][wi] = Some(Slot {
-            key,
-            entry,
-            last_used: self.tick,
-            inserted: self.tick,
-        });
-        self.stats.evictions += 1;
-        Some((victim.key, victim.entry))
+        let base = self.set_base(key);
+        let displaced = match self.scan(base, key) {
+            Scan::Hit(w) => {
+                let i = base + w;
+                self.last_used[i] = self.tick;
+                Displaced::Updated(std::mem::replace(&mut self.entries[i], entry))
+            }
+            Scan::Free(w) => {
+                self.fill(base + w, key, entry);
+                self.len += 1;
+                Displaced::Nothing
+            }
+            Scan::Full(oldest) => {
+                let w = match self.config.replacement {
+                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest,
+                    ReplacementPolicy::Random => {
+                        self.rng = Self::xorshift_peek(self.rng);
+                        (self.rng % self.config.ways as u64) as usize
+                    }
+                };
+                let i = base + w;
+                let victim = Displaced::Evicted(self.keys[i], self.entries[i]);
+                self.fill(i, key, entry);
+                self.stats.evictions += 1;
+                victim
+            }
+        };
+        self.check_home_set(key);
+        displaced
+    }
+
+    /// Places `key → entry` in way `i` with fresh stamps.
+    fn fill(&mut self, i: usize, key: TranslationKey, entry: TlbEntry) {
+        self.keys[i] = key;
+        self.entries[i] = entry;
+        self.last_used[i] = self.tick;
+        self.inserted[i] = self.tick;
+    }
+
+    /// Frees way `i`, which holds `key`, counting it as a removal. The
+    /// payload stays readable until the way is refilled.
+    fn vacate(&mut self, i: usize, key: TranslationKey) {
+        self.keys[i] = EMPTY;
+        self.len -= 1;
+        self.stats.removals += 1;
+        self.check_home_set(key);
     }
 
     /// The entry that would be evicted if `key` were inserted now, or `None`
     /// if insertion would not evict (set has room, or `key` is present).
     #[must_use]
     pub fn peek_victim(&self, key: TranslationKey) -> Option<(TranslationKey, TlbEntry)> {
-        let si = self.set_index(key);
-        let present = self.sets[si]
-            .iter()
-            .any(|s| s.as_ref().is_some_and(|s| s.key == key));
-        if present || self.sets[si].iter().any(Option::is_none) {
+        let base = self.set_base(key);
+        let Scan::Full(oldest) = self.scan(base, key) else {
             return None;
-        }
-        let wi = self.victim_way_readonly(si);
-        self.sets[si][wi].map(|s| (s.key, s.entry))
-    }
-
-    fn victim_way_readonly(&self, si: usize) -> usize {
-        match self.config.replacement {
-            ReplacementPolicy::Lru => self.min_by(si, |s| s.last_used),
-            ReplacementPolicy::Fifo => self.min_by(si, |s| s.inserted),
+        };
+        let w = match self.config.replacement {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest,
             // Read-only peek of Random uses the *next* RNG draw without
             // consuming it; insert() consumes it, so peek matches insert.
             ReplacementPolicy::Random => {
                 (Self::xorshift_peek(self.rng) % self.config.ways as u64) as usize
             }
-        }
-    }
-
-    fn victim_way(&mut self, si: usize) -> usize {
-        match self.config.replacement {
-            ReplacementPolicy::Lru => self.min_by(si, |s| s.last_used),
-            ReplacementPolicy::Fifo => self.min_by(si, |s| s.inserted),
-            ReplacementPolicy::Random => {
-                self.rng = Self::xorshift_peek(self.rng);
-                (self.rng % self.config.ways as u64) as usize
-            }
-        }
+        };
+        Some((self.keys[base + w], self.entries[base + w]))
     }
 
     fn xorshift_peek(mut x: u64) -> u64 {
@@ -375,56 +469,39 @@ impl Tlb {
         x
     }
 
-    fn min_by(&self, si: usize, f: impl Fn(&Slot) -> u64) -> usize {
-        self.sets[si]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, f(s))))
-            .min_by_key(|(_, v)| *v)
-            .map(|(i, _)| i)
-            // sim-lint: allow(panic-reach, reason = "callers invoke victim selection only on full sets, so the iterator is non-empty")
-            .expect("victim selection requires a full set")
-    }
-
     /// Refreshes `key`'s recency without recording a lookup (used when a
     /// remote GPU probe hits this TLB: the entry is hot, but the probe must
     /// not pollute the local application's hit-rate statistics). Returns
     /// whether the key was present.
     pub fn touch(&mut self, key: TranslationKey) -> bool {
+        self.touch_mut(key).is_some()
+    }
+
+    /// [`Self::touch`] that returns the refreshed payload for editing, in
+    /// one set scan: the same effect as `touch` followed by
+    /// [`Self::probe_mut`].
+    pub fn touch_mut(&mut self, key: TranslationKey) -> Option<&mut TlbEntry> {
         self.tick += 1;
-        if let Some((si, wi)) = self.find(key) {
-            self.sets[si][wi]
-                .as_mut()
-                // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-                .expect("found slot is valid")
-                .last_used = self.tick;
-            true
-        } else {
-            false
-        }
+        let i = self.find(key)?;
+        self.last_used[i] = self.tick;
+        Some(&mut self.entries[i])
     }
 
     /// Removes `key`, returning its payload if present.
     pub fn remove(&mut self, key: TranslationKey) -> Option<TlbEntry> {
-        let (si, wi) = self.find(key)?;
-        // sim-lint: allow(panic-reach, reason = "find() only returns indices of occupied ways in the same set")
-        let slot = self.sets[si][wi].take().expect("found slot is valid");
-        self.len -= 1;
-        self.stats.removals += 1;
-        self.check_home_set(key);
-        Some(slot.entry)
+        let i = self.find(key)?;
+        self.vacate(i, key);
+        Some(self.entries[i])
     }
 
     /// Invalidates every entry of `asid` (per-process TLB shootdown),
     /// returning how many entries were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
         let mut dropped = 0;
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                if way.is_some_and(|s| s.key.asid == asid) {
-                    *way = None;
-                    dropped += 1;
-                }
+        for k in &mut self.keys {
+            if *k != EMPTY && k.asid == asid {
+                *k = EMPTY;
+                dropped += 1;
             }
         }
         self.len -= dropped;
@@ -436,11 +513,7 @@ impl Tlb {
     /// dropped.
     pub fn flush(&mut self) -> usize {
         let dropped = self.len;
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = None;
-            }
-        }
+        self.keys.fill(EMPTY);
         self.len = 0;
         self.stats.removals += dropped as u64;
         dropped
@@ -449,10 +522,11 @@ impl Tlb {
     /// Iterates over all valid `(key, entry)` pairs (snapshot order is
     /// set-major and deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (TranslationKey, &TlbEntry)> + '_ {
-        self.sets
+        self.keys
             .iter()
-            .flatten()
-            .filter_map(|s| s.as_ref().map(|s| (s.key, &s.entry)))
+            .zip(&self.entries)
+            .filter(|(&k, _)| k != EMPTY)
+            .map(|(&k, e)| (k, e))
     }
 
     /// Convenience: the set of keys currently resident.
@@ -468,46 +542,39 @@ impl Tlb {
     ///
     /// Panics when an invariant is violated.
     pub fn check_set(&self, si: usize) {
-        let set = &self.sets[si];
-        // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
-        assert!(set.len() == self.config.ways, "set {si}: way count drifted");
-        for (wi, slot) in set.iter().enumerate() {
-            let Some(slot) = slot else { continue };
+        let ways = self.config.ways;
+        let set = &self.keys[si * ways..(si + 1) * ways];
+        for (wi, &key) in set.iter().enumerate() {
+            if key == EMPTY {
+                continue;
+            }
             // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
             assert!(
-                self.set_index(slot.key) == si,
-                "set {si} way {wi}: key {:?} belongs to set {}",
-                slot.key,
-                self.set_index(slot.key)
+                self.set_index(key) == si,
+                "set {si} way {wi}: key {key:?} belongs to set {}",
+                self.set_index(key)
             );
-            for other in set.iter().take(wi).flatten() {
-                // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
-                assert!(
-                    other.key != slot.key,
-                    "set {si}: duplicate key {:?}",
-                    slot.key
-                );
-            }
+            // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
+            assert!(!set[..wi].contains(&key), "set {si}: duplicate key {key:?}");
         }
     }
 
     /// Validates the whole structure: per-set invariants ([`Self::check_set`])
-    /// plus `len` matching the occupied-slot count. Cheap enough for tests
+    /// plus `len` matching the occupied-way count. Cheap enough for tests
     /// and the `check`-feature harness, too slow for per-op release use.
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn check_structure(&self) {
-        let mut occupied = 0;
-        for si in 0..self.sets.len() {
+        for si in 0..self.config.sets() {
             self.check_set(si);
-            occupied += self.sets[si].iter().flatten().count();
         }
+        let occupied = self.keys.iter().filter(|&&k| k != EMPTY).count();
         // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
         assert!(
             occupied == self.len,
-            "len {} disagrees with occupied slots {occupied}",
+            "len {} disagrees with occupied ways {occupied}",
             self.len
         );
     }
@@ -526,7 +593,6 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_types::VirtPage;
 
     fn key(v: u64) -> TranslationKey {
         TranslationKey::new(Asid(0), VirtPage(v))
@@ -722,6 +788,32 @@ mod tests {
             }
             t.check_structure();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved empty-way key")]
+    fn reserved_empty_key_rejected() {
+        let mut t = tiny_fa(2);
+        t.insert(EMPTY, TlbEntry::new(PhysPage(1)));
+    }
+
+    #[test]
+    fn keys_beside_the_reserved_key_are_ordinary() {
+        let mut t = tiny_fa(4);
+        let near = [
+            TranslationKey::new(Asid(u16::MAX), VirtPage(0)),
+            TranslationKey::new(Asid(0), VirtPage(u64::MAX)),
+        ];
+        for k in near {
+            t.insert(k, TlbEntry::new(PhysPage(1)));
+        }
+        assert_eq!(t.resident_keys(), near);
+        assert_eq!(
+            t.invalidate_asid(Asid(u16::MAX)),
+            1,
+            "free ways are not dropped"
+        );
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
