@@ -57,6 +57,21 @@ fn tlb_ops(c: &mut Criterion) {
             black_box(l2.insert(key(v), TlbEntry::new(PhysPage(v))))
         });
     });
+    // The replay's L2 miss path: keys that were never inserted, so every
+    // lookup and every remote-probe touch scans a full set and misses.
+    let mut v = 1 << 40;
+    group.bench_function("lookup_miss_512x16", |b| {
+        b.iter(|| {
+            v += 1;
+            black_box(l2.lookup(key(v)))
+        });
+    });
+    group.bench_function("touch_miss_512x16", |b| {
+        b.iter(|| {
+            v += 1;
+            black_box(l2.touch_mut(key(v)).is_some())
+        });
+    });
     // The IOMMU geometry with full sets: a miss scans all 64 ways, and an
     // insert of a fresh key always evicts.
     let (mut iommu, fresh) = full_tlb(4096, 64);

@@ -1,6 +1,9 @@
 //! Config fuzzer driver: generates random simulator configurations and
 //! scripted workloads, replays each through the differential oracle, and
-//! on the first violation shrinks it to a minimized JSON repro.
+//! on the first violation shrinks it to a minimized JSON repro. Each case
+//! also drives the config and trace parsers with mutated copies of its
+//! configuration and access trace; a parser panic is a violation, and the
+//! input that caused it is written to the repro path instead.
 //!
 //! ```text
 //! fuzz-sim [--cases N] [--seed S] [--out PATH] [--replay PATH]
@@ -12,7 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sim_check::fuzz::{generate, run_case, shrink, FuzzCase};
+use sim_check::fuzz::{fuzz_parsers, generate, run_case, shrink, FuzzCase};
 use sim_check::Gen;
 
 struct Args {
@@ -88,6 +91,7 @@ fn main() -> ExitCode {
 
     let mut g = Gen::new(args.seed);
     let mut totals = (0u64, 0u64, 0u64); // l2_hits, walks, remote_hits
+    let mut parser_inputs = 0;
     for i in 0..args.cases {
         let case = generate(&mut g);
         match run_case(&case) {
@@ -111,6 +115,16 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+        match fuzz_parsers(&case) {
+            Ok(n) => parser_inputs += n,
+            Err(v) => {
+                eprintln!("case {i}: VIOLATION: {:?} parser: {}", v.parser, v.message);
+                std::fs::write(&args.out, &v.input)
+                    .unwrap_or_else(|e| panic!("writing {}: {e}", args.out.display()));
+                eprintln!("input written to {}", args.out.display());
+                return ExitCode::FAILURE;
+            }
+        }
         if (i + 1) % 50 == 0 {
             println!(
                 "{} / {} cases clean (so far: {} L2 hits, {} walks, {} remote hits)",
@@ -126,5 +140,6 @@ fn main() -> ExitCode {
         "{} cases clean: {} L2 hits, {} walks, {} remote hits",
         args.cases, totals.0, totals.1, totals.2
     );
+    println!("{parser_inputs} parser inputs clean");
     ExitCode::SUCCESS
 }

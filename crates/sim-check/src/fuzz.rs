@@ -1,10 +1,13 @@
 //! Config fuzzer: random policy/geometry/workload combinations replayed
 //! through the differential oracle, with delta-debugging shrinking and a
-//! JSON repro format.
+//! JSON repro format. Each case also yields mutated inputs for the two
+//! parsers of user files (see [`fuzz_parsers`]).
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fabric::{FabricConfig, Topology};
+use least_tlb::trace::{TraceEntry, TranslationTrace};
 use least_tlb::{Inclusion, Policy, ReceiverPolicy, SystemConfig, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use tlb::{ReplacementPolicy, TlbConfig};
@@ -329,15 +332,17 @@ pub fn run_case_with_bug(case: &FuzzCase, bug: MirrorBug) -> Result<OracleReport
     match outcome {
         Ok(Ok(report)) => Ok(report),
         Ok(Err(d)) => Err(d.to_string()),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic".into());
-            Err(format!("panic during replay: {msg}"))
-        }
+        Err(payload) => Err(format!("panic during replay: {}", panic_message(&*payload))),
     }
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "non-string panic".into())
 }
 
 /// Runs one case through the faithful oracle.
@@ -406,6 +411,123 @@ pub fn shrink(case: &FuzzCase, failing: impl Fn(&FuzzCase) -> bool) -> FuzzCase 
     best
 }
 
+/// A parser of user input that [`fuzz_parsers`] drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parser {
+    /// `serde_json::from_str::<SystemConfig>`.
+    Config,
+    /// [`TranslationTrace::read_from`], the `--replay-trace` reader.
+    Trace,
+}
+
+/// An input on which a parser panicked, or failed to read back the
+/// valid input it was derived from.
+#[derive(Debug)]
+pub struct ParserViolation {
+    /// The parser at fault.
+    pub parser: Parser,
+    /// The input it was given.
+    pub input: Vec<u8>,
+    /// What went wrong.
+    pub message: String,
+}
+
+/// Feeds the config and trace parsers inputs derived from `case`: its
+/// expanded [`SystemConfig`] as JSON and a trace of its accesses in the
+/// recorder's JSONL format, each as written and as a truncation, a few
+/// bit flips and a spliced line. Malformed input must end in an error,
+/// never a panic, and the valid inputs must read back to what was
+/// written. Returns the number of inputs parsed: 8, four per parser.
+///
+/// # Errors
+///
+/// Returns the first input that violates this contract.
+pub fn fuzz_parsers(case: &FuzzCase) -> Result<usize, ParserViolation> {
+    let (cfg, spec) = case.to_config();
+    let entries = concrete_accesses(case, &cfg, &spec)
+        .iter()
+        .zip(0..)
+        .map(|(a, cycle)| TraceEntry {
+            cycle,
+            gpu: a.gpu,
+            asid: a.asid,
+            vpn: a.vpn,
+        })
+        .collect();
+    let trace = TranslationTrace { spec, entries };
+    let config_json = serde_json::to_string_pretty(&cfg)
+        .expect("configs serialize")
+        .into_bytes();
+    let mut trace_jsonl = Vec::new();
+    trace
+        .write_to(&mut trace_jsonl)
+        .expect("writing to memory cannot fail");
+    let reads_back = |parser: Parser, input: &[u8]| match parser {
+        Parser::Config => parse_config(input).is_ok_and(|c| c == cfg),
+        Parser::Trace => TranslationTrace::read_from(input)
+            .is_ok_and(|t| t.spec == trace.spec && t.entries == trace.entries),
+    };
+    // Mutations draw from their own generator, so the cases that follow
+    // are unchanged by the parser targets.
+    let mut g = Gen::new(case.seed);
+    let mut inputs = 0;
+    for (parser, valid) in [(Parser::Config, config_json), (Parser::Trace, trace_jsonl)] {
+        inputs += 1;
+        if !guarded(parser, &valid, |input| reads_back(parser, input))? {
+            return Err(ParserViolation {
+                parser,
+                input: valid,
+                message: "the valid input does not read back to what was written".into(),
+            });
+        }
+        for input in mutations(&valid, &mut g) {
+            inputs += 1;
+            guarded(parser, &input, |input| match parser {
+                Parser::Config => drop(parse_config(input)),
+                Parser::Trace => drop(TranslationTrace::read_from(input)),
+            })?;
+        }
+    }
+    Ok(inputs)
+}
+
+fn parse_config(input: &[u8]) -> serde_json::Result<SystemConfig> {
+    serde_json::from_str(&String::from_utf8_lossy(input))
+}
+
+/// Runs `parse` on `input`, turning a panic into a violation.
+fn guarded<T>(
+    parser: Parser,
+    input: &[u8],
+    parse: impl FnOnce(&[u8]) -> T,
+) -> Result<T, ParserViolation> {
+    catch_unwind(AssertUnwindSafe(|| parse(input))).map_err(|payload| ParserViolation {
+        parser,
+        input: input.to_vec(),
+        message: format!("panic: {}", panic_message(&*payload)),
+    })
+}
+
+/// Three mutations of `valid`: a truncation, one to four flipped bits,
+/// and one line replaced by the head of a line spliced to the tail of
+/// another.
+fn mutations(valid: &[u8], g: &mut Gen) -> [Vec<u8>; 3] {
+    let cut = |g: &mut Gen, bytes: &[u8]| g.below(bytes.len() as u64 + 1) as usize;
+    let truncated = valid[..cut(g, valid)].to_vec();
+    let mut flipped = valid.to_vec();
+    for _ in 0..=g.below(4) {
+        let i = g.below(flipped.len() as u64) as usize;
+        flipped[i] ^= 1 << g.below(8);
+    }
+    let mut lines: Vec<&[u8]> = valid.split(|&b| b == b'\n').collect();
+    let i = g.below(lines.len() as u64) as usize;
+    let j = g.below(lines.len() as u64) as usize;
+    let (head, tail) = (lines[i], lines[j]);
+    let joined = [&head[..cut(g, head)], &tail[cut(g, tail)..]].concat();
+    lines[i] = &joined;
+    [truncated, flipped, lines.join(&b'\n')]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +594,28 @@ mod tests {
         let json = serde_json::to_string(&case).expect("serializes");
         let back: FuzzCase = serde_json::from_str(&json).expect("parses");
         assert_eq!(case, back);
+    }
+
+    #[test]
+    fn parser_targets_read_valid_input_and_survive_mutations() {
+        let mut g = Gen::new(0x9a55);
+        for _ in 0..20 {
+            let case = generate(&mut g);
+            assert_eq!(fuzz_parsers(&case).unwrap(), 8);
+        }
+    }
+
+    #[test]
+    fn parser_mutations_differ_from_the_valid_input() {
+        let valid = b"{\n  \"a\": 1,\n  \"b\": [2, 3]\n}\n";
+        let mut g = Gen::new(7);
+        let mut changed = [0; 3];
+        for _ in 0..50 {
+            for (n, m) in changed.iter_mut().zip(mutations(valid, &mut g)) {
+                *n += usize::from(m != valid);
+            }
+        }
+        assert!(changed.iter().all(|&n| n > 25), "{changed:?}");
     }
 
     #[test]

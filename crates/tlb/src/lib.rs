@@ -13,20 +13,28 @@
 //! Every per-way field lives in a flat array indexed `set * ways + way`,
 //! so one set is a contiguous run in each array:
 //!
-//! - `keys` holds the resident [`TranslationKey`]s. A reserved key (ASID
-//!   `u16::MAX`, VPN `u64::MAX`) marks a free way, so a lookup or a miss
-//!   reads this array alone: 16 bytes a way, 1 KiB for a 64-way set.
-//!   [`Tlb::insert`] asserts that no caller inserts the reserved key.
+//! - `tags` holds one byte per way: a hash of the resident key mapped into
+//!   `1..=255`, or `0` for a free way. It is the only array a miss reads:
+//!   64 bytes, one cache line, for a 64-way set.
+//! - `keys` holds the resident [`TranslationKey`]s. A way's key is
+//!   compared only when its tag matches; a free way's key is stale, so
+//!   every key, `u16::MAX`/`u64::MAX` included, is an ordinary key.
 //! - `entries` (payloads) and the `last_used`/`inserted` stamps are
 //!   separate arrays, read only on a hit or when picking a victim.
 //!
+//! A set scan reads the set's tags eight at a time as a `u64` and uses the
+//! SWAR "zero byte" mask twice: on the word XOR the key's tag broadcast
+//! (candidate ways, each confirmed by a full key compare) and on the word
+//! itself (the lowest zero byte is the first free way). Geometries whose
+//! way count is not a multiple of 8 scan the tags byte by byte.
+//!
 //! [`Tlb::insert`] scans its set once: the same pass finds the key (an
-//! in-place update), the first free way, and the LRU/FIFO victim. The
-//! combined operations [`Tlb::lookup_take`], [`Tlb::insert_displacing`]
-//! and [`Tlb::touch_mut`] give callers one scan where they would
-//! otherwise make two (lookup then remove, probe then insert, touch then
-//! probe); each has exactly the effect of the two-call sequence it
-//! replaces.
+//! in-place update) and the first free way; the LRU/FIFO stamps are read
+//! only when the set is full and the key absent. The combined operations
+//! [`Tlb::lookup_take`], [`Tlb::insert_displacing`] and [`Tlb::touch_mut`]
+//! give callers one scan where they would otherwise make two (lookup then
+//! remove, probe then insert, touch then probe); each has exactly the
+//! effect of the two-call sequence it replaces.
 //!
 //! # Examples
 //!
@@ -146,12 +154,29 @@ impl TlbEntry {
     }
 }
 
-/// Reserved key that marks an empty way in the flat key array. No real
-/// translation can use it: [`Tlb::insert`] rejects it.
-const EMPTY: TranslationKey = TranslationKey {
-    asid: Asid(u16::MAX),
-    vpn: VirtPage(u64::MAX),
-};
+/// `0x01` in every byte of a `u64`.
+const LO: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte of a `u64`.
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// The tag of `key`: the top bits of a multiplicative hash of its ASID
+/// and VPN, mapped into `1..=255` (tag `0` marks a free way).
+fn tag_of(key: TranslationKey) -> u8 {
+    let h = (key.vpn.0 ^ (u64::from(key.asid.0) << 48)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    // Scales the top 32 bits onto 0..255, then shifts past the free tag.
+    (((h >> 32) * 255) >> 32) as u8 + 1
+}
+
+/// The high bit of every zero byte of `x`. The lowest flagged byte is
+/// always a zero byte; a `0x01` byte above a zero byte may be flagged too.
+fn zero_bytes(x: u64) -> u64 {
+    x.wrapping_sub(LO) & !x & HI
+}
+
+/// Way index, within its word, of the lowest byte flagged in `mask`.
+fn lowest_byte(mask: u64) -> usize {
+    (mask.trailing_zeros() / 8) as usize
+}
 
 /// What [`Tlb::insert_displacing`] pushed out to make room for its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +195,8 @@ enum Scan {
     Hit(usize),
     /// The first free way (the key is absent).
     Free(usize),
-    /// The set is full and the key absent; carries the LRU/FIFO victim.
-    Full(usize),
+    /// The set is full and the key absent.
+    Full,
 }
 
 /// A set-associative TLB.
@@ -182,14 +207,16 @@ pub struct Tlb {
     config: TlbConfig,
     /// Log2 of the set count (sets are indexed by folded VPN bits).
     set_bits: u32,
-    /// Resident keys, set-major (`set * ways + way`); [`EMPTY`] marks a
-    /// free way. The only array a miss reads.
+    /// One tag per way, set-major (`set * ways + way`): [`tag_of`] the
+    /// resident key, or `0` for a free way. The only array a miss reads.
+    tags: Vec<u8>,
+    /// Keys, parallel to `tags`; stale at free ways.
     keys: Vec<TranslationKey>,
-    /// Payloads, parallel to `keys`; meaningless at free ways.
+    /// Payloads, parallel to `tags`; meaningless at free ways.
     entries: Vec<TlbEntry>,
-    /// LRU stamps, parallel to `keys`.
+    /// LRU stamps, parallel to `tags`.
     last_used: Vec<u64>,
-    /// FIFO stamps, parallel to `keys`.
+    /// FIFO stamps, parallel to `tags`.
     inserted: Vec<u64>,
     tick: u64,
     len: usize,
@@ -222,7 +249,8 @@ impl Tlb {
         Tlb {
             config,
             set_bits: sets.trailing_zeros(),
-            keys: vec![EMPTY; n],
+            tags: vec![0; n],
+            keys: vec![TranslationKey::new(Asid(0), VirtPage(0)); n],
             entries: vec![TlbEntry::new(PhysPage(0)); n],
             last_used: vec![0; n],
             inserted: vec![0; n],
@@ -287,36 +315,69 @@ impl Tlb {
     /// Flat index of the way holding `key`, if resident.
     fn find(&self, key: TranslationKey) -> Option<usize> {
         let base = self.set_base(key);
-        self.keys[base..base + self.config.ways]
-            .iter()
-            .position(|&k| k == key)
-            .map(|w| base + w)
+        match self.scan(base, key) {
+            Scan::Hit(w) => Some(base + w),
+            Scan::Free(_) | Scan::Full => None,
+        }
     }
 
-    /// One pass over the set at `base`: the way holding `key`, else the
-    /// first free way, else the policy's LRU/FIFO victim (`Random` draws
-    /// its victim afterwards and ignores the one returned here).
+    /// One pass over the tags of the set at `base`: the way holding `key`,
+    /// else the first free way, else [`Scan::Full`].
     fn scan(&self, base: usize, key: TranslationKey) -> Scan {
-        let ways = base..base + self.config.ways;
-        let stamps = match self.config.replacement {
-            ReplacementPolicy::Fifo => &self.inserted[ways.clone()],
-            ReplacementPolicy::Lru | ReplacementPolicy::Random => &self.last_used[ways.clone()],
-        };
+        let tag = tag_of(key);
+        let tags = &self.tags[base..base + self.config.ways];
+        let keys = &self.keys[base..base + self.config.ways];
         let mut free = None;
-        let mut oldest = (0, u64::MAX);
-        for (w, (&k, &stamp)) in self.keys[ways].iter().zip(stamps).enumerate() {
-            if k == key {
-                return Scan::Hit(w);
+        let (words, []) = tags.as_chunks::<8>() else {
+            for (w, &t) in tags.iter().enumerate() {
+                if t == tag && keys[w] == key {
+                    return Scan::Hit(w);
+                }
+                if t == 0 && free.is_none() {
+                    free = Some(w);
+                }
             }
-            if k == EMPTY {
-                free = free.or(Some(w));
-            } else if stamp < oldest.1 {
-                // Stamps are unique, so the strict `<` keeps the first
-                // minimum, as a `min_by_key` over the set would.
-                oldest = (w, stamp);
+            return free.map_or(Scan::Full, Scan::Free);
+        };
+        let broadcast = LO * u64::from(tag);
+        for (c, word) in words.iter().enumerate() {
+            let word = u64::from_le_bytes(*word);
+            let mut candidates = zero_bytes(word ^ broadcast);
+            while candidates != 0 {
+                let w = 8 * c + lowest_byte(candidates);
+                // A flagged way may hold another tag (`tag ^ 1`, even the
+                // free tag with a stale copy of `key`), so the tag is
+                // confirmed before the key.
+                if tags[w] == tag && keys[w] == key {
+                    return Scan::Hit(w);
+                }
+                candidates &= candidates - 1;
+            }
+            let empty = zero_bytes(word);
+            if free.is_none() && empty != 0 {
+                free = Some(8 * c + lowest_byte(empty));
             }
         }
-        free.map_or(Scan::Full(oldest.0), Scan::Free)
+        free.map_or(Scan::Full, Scan::Free)
+    }
+
+    /// The victim way of the full set at `base`: the oldest LRU or FIFO
+    /// stamp, or the next draw of the `Random` policy's generator
+    /// (`peek_victim` reads the draw, `insert` consumes it).
+    fn victim(&self, base: usize) -> usize {
+        let stamps = match self.config.replacement {
+            ReplacementPolicy::Lru => &self.last_used,
+            ReplacementPolicy::Fifo => &self.inserted,
+            ReplacementPolicy::Random => {
+                return (Self::xorshift_peek(self.rng) % self.config.ways as u64) as usize;
+            }
+        };
+        // The stamps of a full set are unique, so the minimum is unique too.
+        stamps[base..base + self.config.ways]
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &stamp)| stamp)
+            .map_or(0, |(w, _)| w)
     }
 
     /// Looks up `key`, recording a hit or miss and refreshing recency on a
@@ -364,11 +425,6 @@ impl Tlb {
 
     /// Inserts (or updates) `key → entry`, returning the victim evicted to
     /// make room, if the target set was full and `key` was absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is the reserved empty-way key (ASID `u16::MAX`,
-    /// VPN `u64::MAX`), which no real translation uses.
     pub fn insert(
         &mut self,
         key: TranslationKey,
@@ -383,16 +439,7 @@ impl Tlb {
     /// [`Self::insert`] that also reports the payload an in-place update
     /// replaced, so callers need no [`Self::probe`] beforehand. The set is
     /// scanned once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is the reserved empty-way key, as [`Self::insert`].
     pub fn insert_displacing(&mut self, key: TranslationKey, entry: TlbEntry) -> Displaced {
-        // sim-lint: allow(hygiene, reason = "documented API contract: the reserved empty-way key would silently vanish from the set, so release runs must abort too")
-        assert!(
-            key != EMPTY,
-            "{key:?} is the TLB's reserved empty-way key and cannot be inserted"
-        );
         self.tick += 1;
         self.stats.insertions += 1;
         let base = self.set_base(key);
@@ -407,15 +454,11 @@ impl Tlb {
                 self.len += 1;
                 Displaced::Nothing
             }
-            Scan::Full(oldest) => {
-                let w = match self.config.replacement {
-                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest,
-                    ReplacementPolicy::Random => {
-                        self.rng = Self::xorshift_peek(self.rng);
-                        (self.rng % self.config.ways as u64) as usize
-                    }
-                };
-                let i = base + w;
+            Scan::Full => {
+                let i = base + self.victim(base);
+                if self.config.replacement == ReplacementPolicy::Random {
+                    self.rng = Self::xorshift_peek(self.rng);
+                }
                 let victim = Displaced::Evicted(self.keys[i], self.entries[i]);
                 self.fill(i, key, entry);
                 self.stats.evictions += 1;
@@ -428,6 +471,7 @@ impl Tlb {
 
     /// Places `key → entry` in way `i` with fresh stamps.
     fn fill(&mut self, i: usize, key: TranslationKey, entry: TlbEntry) {
+        self.tags[i] = tag_of(key);
         self.keys[i] = key;
         self.entries[i] = entry;
         self.last_used[i] = self.tick;
@@ -437,7 +481,7 @@ impl Tlb {
     /// Frees way `i`, which holds `key`, counting it as a removal. The
     /// payload stays readable until the way is refilled.
     fn vacate(&mut self, i: usize, key: TranslationKey) {
-        self.keys[i] = EMPTY;
+        self.tags[i] = 0;
         self.len -= 1;
         self.stats.removals += 1;
         self.check_home_set(key);
@@ -448,18 +492,11 @@ impl Tlb {
     #[must_use]
     pub fn peek_victim(&self, key: TranslationKey) -> Option<(TranslationKey, TlbEntry)> {
         let base = self.set_base(key);
-        let Scan::Full(oldest) = self.scan(base, key) else {
+        let Scan::Full = self.scan(base, key) else {
             return None;
         };
-        let w = match self.config.replacement {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest,
-            // Read-only peek of Random uses the *next* RNG draw without
-            // consuming it; insert() consumes it, so peek matches insert.
-            ReplacementPolicy::Random => {
-                (Self::xorshift_peek(self.rng) % self.config.ways as u64) as usize
-            }
-        };
-        Some((self.keys[base + w], self.entries[base + w]))
+        let i = base + self.victim(base);
+        Some((self.keys[i], self.entries[i]))
     }
 
     fn xorshift_peek(mut x: u64) -> u64 {
@@ -498,9 +535,9 @@ impl Tlb {
     /// returning how many entries were dropped.
     pub fn invalidate_asid(&mut self, asid: Asid) -> usize {
         let mut dropped = 0;
-        for k in &mut self.keys {
-            if *k != EMPTY && k.asid == asid {
-                *k = EMPTY;
+        for (tag, k) in self.tags.iter_mut().zip(&self.keys) {
+            if *tag != 0 && k.asid == asid {
+                *tag = 0;
                 dropped += 1;
             }
         }
@@ -513,7 +550,7 @@ impl Tlb {
     /// dropped.
     pub fn flush(&mut self) -> usize {
         let dropped = self.len;
-        self.keys.fill(EMPTY);
+        self.tags.fill(0);
         self.len = 0;
         self.stats.removals += dropped as u64;
         dropped
@@ -522,11 +559,11 @@ impl Tlb {
     /// Iterates over all valid `(key, entry)` pairs (snapshot order is
     /// set-major and deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (TranslationKey, &TlbEntry)> + '_ {
-        self.keys
+        self.tags
             .iter()
-            .zip(&self.entries)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, e)| (k, e))
+            .zip(self.keys.iter().zip(&self.entries))
+            .filter(|&(&tag, _)| tag != 0)
+            .map(|(_, (&k, e))| (k, e))
     }
 
     /// Convenience: the set of keys currently resident.
@@ -535,19 +572,29 @@ impl Tlb {
         self.iter().map(|(k, _)| k).collect()
     }
 
-    /// Validates the structural invariants of one set: every resident key
+    /// Validates the structural invariants of one set: every way's tag is
+    /// either `0` (free) or the tag of the way's key, every resident key
     /// hashes to this set, and no key appears in two ways.
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn check_set(&self, si: usize) {
-        let ways = self.config.ways;
-        let set = &self.keys[si * ways..(si + 1) * ways];
+        let ways = si * self.config.ways..(si + 1) * self.config.ways;
+        let tags = &self.tags[ways.clone()];
+        let set = &self.keys[ways];
+        let resident = |wi: usize| tags[wi] != 0;
         for (wi, &key) in set.iter().enumerate() {
-            if key == EMPTY {
+            if !resident(wi) {
                 continue;
             }
+            // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
+            assert!(
+                tags[wi] == tag_of(key),
+                "set {si} way {wi}: tag {} is not the tag {} of key {key:?}",
+                tags[wi],
+                tag_of(key)
+            );
             // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
             assert!(
                 self.set_index(key) == si,
@@ -555,12 +602,15 @@ impl Tlb {
                 self.set_index(key)
             );
             // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
-            assert!(!set[..wi].contains(&key), "set {si}: duplicate key {key:?}");
+            assert!(
+                !(0..wi).any(|v| resident(v) && set[v] == key),
+                "set {si}: duplicate key {key:?}"
+            );
         }
     }
 
     /// Validates the whole structure: per-set invariants ([`Self::check_set`])
-    /// plus `len` matching the occupied-way count. Cheap enough for tests
+    /// plus `len` matching the count of non-zero tags. Cheap enough for tests
     /// and the `check`-feature harness, too slow for per-op release use.
     ///
     /// # Panics
@@ -570,7 +620,7 @@ impl Tlb {
         for si in 0..self.config.sets() {
             self.check_set(si);
         }
-        let occupied = self.keys.iter().filter(|&&k| k != EMPTY).count();
+        let occupied = self.tags.iter().filter(|&&tag| tag != 0).count();
         // sim-lint: allow(hygiene, reason = "test-facing checker whose whole contract is to panic on violation")
         assert!(
             occupied == self.len,
@@ -791,29 +841,115 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "reserved empty-way key")]
-    fn reserved_empty_key_rejected() {
-        let mut t = tiny_fa(2);
-        t.insert(EMPTY, TlbEntry::new(PhysPage(1)));
+    fn all_ones_key_is_ordinary() {
+        let all_ones = TranslationKey {
+            asid: Asid(u16::MAX),
+            vpn: VirtPage(u64::MAX),
+        };
+        let mut t = tiny_fa(4);
+        t.insert(key(1), TlbEntry::new(PhysPage(1)));
+        t.insert(all_ones, TlbEntry::new(PhysPage(2)));
+        assert_eq!(t.lookup(all_ones).unwrap().frame, PhysPage(2));
+        assert_eq!(t.invalidate_asid(Asid(0)), 1);
+        assert_eq!(t.resident_keys(), [all_ones]);
+        assert_eq!(t.remove(all_ones).unwrap().frame, PhysPage(2));
+        assert!(t.is_empty());
+        // The freed ways still hold stale copies of both keys.
+        assert!(t.lookup(all_ones).is_none());
+        assert!(t.probe(key(1)).is_none());
+        assert_eq!(
+            t.invalidate_asid(Asid(u16::MAX)),
+            0,
+            "free ways are not dropped"
+        );
+        t.check_structure();
+    }
+
+    /// The first `n` keys of ASID 0 that map to set 0 of `t` and carry
+    /// `tag`, in VPN order.
+    fn set0_keys_tagged(t: &Tlb, tag: u8, n: usize) -> Vec<TranslationKey> {
+        (0..)
+            .map(key)
+            .filter(|&k| t.set_index(k) == 0 && tag_of(k) == tag)
+            .take(n)
+            .collect()
+    }
+
+    fn iommu_lru() -> Tlb {
+        Tlb::new(TlbConfig::new(4096, 64, ReplacementPolicy::Lru))
     }
 
     #[test]
-    fn keys_beside_the_reserved_key_are_ordinary() {
-        let mut t = tiny_fa(4);
-        let near = [
-            TranslationKey::new(Asid(u16::MAX), VirtPage(0)),
-            TranslationKey::new(Asid(0), VirtPage(u64::MAX)),
-        ];
-        for k in near {
-            t.insert(k, TlbEntry::new(PhysPage(1)));
+    fn shared_tags_resolve_by_key() {
+        let mut t = iommu_lru();
+        // Ways alternate a tag and that tag with bit 0 flipped, so every
+        // word-wide compare also flags ways above a true tag match.
+        let a = set0_keys_tagged(&t, 0x2a, 33);
+        let b = set0_keys_tagged(&t, 0x2b, 32);
+        let set: Vec<_> = a.iter().zip(&b).flat_map(|(&x, &y)| [x, y]).collect();
+        let frame = |w: usize| TlbEntry::new(PhysPage(w as u64));
+        for (w, &k) in set.iter().enumerate() {
+            assert_eq!(t.insert_displacing(k, frame(w)), Displaced::Nothing);
         }
-        assert_eq!(t.resident_keys(), near);
+        assert_eq!(t.resident_keys(), set, "first free way, in way order");
+        for (w, &k) in set.iter().enumerate() {
+            assert_eq!(t.lookup(k), Some(frame(w)), "lookup way {w}");
+            assert_eq!(t.touch_mut(k).copied(), Some(frame(w)), "touch way {w}");
+            assert_eq!(
+                t.insert_displacing(k, frame(w + 100)),
+                Displaced::Updated(frame(w)),
+                "update way {w}"
+            );
+        }
+        assert_eq!(t.remove(set[11]), Some(frame(111)));
+        assert_eq!(t.lookup_take(set[14]), Some(frame(114)));
+        assert!(t.lookup(set[11]).is_none() && t.lookup(set[14]).is_none());
+        // The new key shares the tag and lands in the lowest free way.
+        let fresh = a[32];
+        assert_eq!(t.insert_displacing(fresh, frame(7)), Displaced::Nothing);
+        let mut expect = set.clone();
+        expect[11] = fresh;
+        expect.remove(14);
+        assert_eq!(t.resident_keys(), expect);
+        assert_eq!(t.insert_displacing(set[14], frame(114)), Displaced::Nothing);
+        // Full set: every way but one is refreshed, so that one is the
+        // LRU victim.
+        for (w, &k) in set.iter().enumerate() {
+            if w != 5 && w != 11 {
+                assert!(t.lookup(k).is_some());
+            }
+        }
+        assert!(t.lookup(fresh).is_some());
         assert_eq!(
-            t.invalidate_asid(Asid(u16::MAX)),
-            1,
-            "free ways are not dropped"
+            t.insert_displacing(set[11], frame(0)),
+            Displaced::Evicted(set[5], frame(105))
         );
-        assert_eq!(t.len(), 1);
+        t.check_structure();
+    }
+
+    #[test]
+    fn stale_keys_in_free_ways_never_hit() {
+        // Tag 1 with bit 0 flipped is the free tag: each freed way keeps a
+        // stale key and sits above a live way with the same tag.
+        let mut t = iommu_lru();
+        let set = set0_keys_tagged(&t, 1, 64);
+        for (w, &k) in set.iter().enumerate() {
+            t.insert(k, TlbEntry::new(PhysPage(w as u64)));
+        }
+        for &k in set.iter().skip(1).step_by(2) {
+            assert!(t.remove(k).is_some());
+        }
+        for (w, &k) in set.iter().enumerate() {
+            let live = w % 2 == 0;
+            assert_eq!(t.probe(k).is_some(), live, "probe way {w}");
+            assert_eq!(t.lookup(k).is_some(), live, "lookup way {w}");
+            assert_eq!(t.touch(k), live, "touch way {w}");
+        }
+        assert_eq!(t.lookup_take(set[3]), None);
+        assert_eq!(t.remove(set[3]), None);
+        assert_eq!(t.len(), 32);
+        assert_eq!(t.invalidate_asid(Asid(0)), 32);
+        t.check_structure();
     }
 
     #[test]

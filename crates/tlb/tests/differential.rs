@@ -6,9 +6,11 @@
 //! and both stamps, with `insert` scanning the set three times (present
 //! key, free way, victim). Randomized op mixes (the splitmix64 recurrence
 //! the repo's other property suites use; no external RNG) drive both
-//! through the whole API. Each combined operation of the flat TLB runs
-//! against the two-call sequence it replaces. After every op the return
-//! values, statistics, `len` and `resident_keys()` must agree.
+//! through the whole API. The geometries cover both tag-scan paths: way
+//! counts that are multiples of 8 (word-wide) and 1, 4 and 12 ways (byte
+//! loop). Each combined operation of the flat TLB runs against the
+//! two-call sequence it replaces. After every op the return values,
+//! statistics, `len` and `resident_keys()` must agree.
 
 use mgpu_types::{Asid, GpuId, PhysPage, TranslationKey, VirtPage};
 use tlb::{Displaced, ReplacementPolicy, Tlb, TlbConfig, TlbEntry, TlbStats};
@@ -236,9 +238,8 @@ fn xorshift(mut x: u64) -> u64 {
 }
 
 /// A random key. Most keys are ASID 0 with a VPN universe 1.5x the
-/// capacity, so sets fill and evict; a few sit right next to the flat
-/// TLB's reserved empty-way key (ASID `u16::MAX`, VPN near `u64::MAX`)
-/// without being it.
+/// capacity, so sets fill and evict; a few sit at the top of the key
+/// space (ASID `u16::MAX`, VPN near `u64::MAX`, the all-ones key too).
 fn random_key(g: &mut Gen, capacity: u64) -> TranslationKey {
     let asid = match g.below(16) {
         0 => u16::MAX,
@@ -251,12 +252,7 @@ fn random_key(g: &mut Gen, capacity: u64) -> TranslationKey {
     } else {
         g.below(capacity + capacity / 2 + 4)
     };
-    let key = TranslationKey::new(Asid(asid), VirtPage(vpn));
-    if asid == u16::MAX && vpn == u64::MAX {
-        TranslationKey::new(Asid(0), VirtPage(vpn))
-    } else {
-        key
-    }
+    TranslationKey::new(Asid(asid), VirtPage(vpn))
 }
 
 fn random_entry(g: &mut Gen) -> TlbEntry {
@@ -412,6 +408,18 @@ fn fully_associative_16() {
 #[test]
 fn set_associative_16x4() {
     differential(16, 4);
+}
+
+/// Eight ways: one tag word per set.
+#[test]
+fn one_word_64x8() {
+    differential(64, 8);
+}
+
+/// Twelve ways: not a multiple of 8, so tags are scanned byte by byte.
+#[test]
+fn byte_loop_48x12() {
+    differential(48, 12);
 }
 
 #[test]
