@@ -1,6 +1,7 @@
 //! Microbenchmarks of the simulator's hot structures: the set-associative
-//! TLB, the cuckoo filter, the reuse-distance tracker, the event queue,
-//! the 4-level page table and the workload generators.
+//! TLB, the in-flight tables (L2 MSHRs, IOMMU pending table), the cuckoo
+//! filter, the reuse-distance tracker, the event queue, the 4-level page
+//! table and the workload generators.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mgpu_types::{Asid, Cycle, PageSize, PhysPage, TranslationKey, VirtPage};
@@ -91,6 +92,53 @@ fn tlb_ops(c: &mut Criterion) {
     group.finish();
 }
 
+fn inflight(c: &mut Criterion) {
+    use gcn_model::{MshrTable, Waiter};
+    use iommu::PendingTable;
+    use mgpu_types::{CuId, GpuId, WavefrontId};
+    const MSHRS: u64 = 80;
+    const PENDING: u64 = 256;
+    let mut group = c.benchmark_group("inflight");
+    // Each table is filled to a peak occupancy of the `xlat-replay`
+    // workload outside the timed closure. A timed call starts one request
+    // lifecycle and retires the oldest, so the occupancy stays put.
+    //
+    // One GPU's L2 MSHRs: register a primary miss, drain a filled one.
+    let w = Waiter {
+        cu: CuId(0),
+        wf: WavefrontId(0),
+    };
+    let mut mshrs = MshrTable::new();
+    for v in 0..MSHRS {
+        mshrs.register(key(v), w);
+    }
+    let mut v = 0u64;
+    group.bench_function("mshr_80", |b| {
+        b.iter(|| {
+            black_box(mshrs.register(key(v + MSHRS), w));
+            black_box(mshrs.drain(key(v)));
+            v += 1;
+        });
+    });
+    // The IOMMU pending table: register a request and its walk, then the
+    // oldest walk returns and serves its waiter.
+    let mut pending = PendingTable::new();
+    for v in 0..PENDING {
+        pending.register(key(v), GpuId(0));
+        pending.mark_walk(key(v));
+    }
+    let mut v = 0u64;
+    group.bench_function("pending_256", |b| {
+        b.iter(|| {
+            black_box(pending.register(key(v + PENDING), GpuId((v % 4) as u8)));
+            pending.mark_walk(key(v + PENDING));
+            black_box(pending.walk_result(key(v)));
+            v += 1;
+        });
+    });
+    group.finish();
+}
+
 fn cuckoo_ops(c: &mut Criterion) {
     use filters::{CuckooConfig, CuckooFilter};
     let mut group = c.benchmark_group("cuckoo");
@@ -168,6 +216,7 @@ fn workload_gen(c: &mut Criterion) {
 criterion_group!(
     benches,
     tlb_ops,
+    inflight,
     cuckoo_ops,
     reuse_tracker,
     event_queue,

@@ -5,7 +5,9 @@
 
 use gcn_model::{MshrOutcome, Waiter};
 use iommu::WalkRequest;
-use mgpu_types::{CuId, Cycle, DetMap, GpuId, PhysPage, TranslationKey, WavefrontId};
+use mgpu_types::{
+    CuId, Cycle, DetMap, FlatEntry, GpuId, PhysPage, TranslationKey, WaitList, WavefrontId,
+};
 use obs::Resolution;
 use tlb::{Displaced, TlbEntry};
 
@@ -399,11 +401,8 @@ impl System {
             let n = self.cfg.gpus;
             let left = GpuId(((g + n - 1) % n) as u8);
             let right = GpuId(((g + 1) % n) as u8);
-            let targets = if left == right {
-                vec![left]
-            } else {
-                vec![left, right]
-            };
+            let pair = [left, right];
+            let targets = if left == right { &pair[..1] } else { &pair[..] };
             self.ring_pending.insert(
                 (gpu, key),
                 RingState {
@@ -411,7 +410,7 @@ impl System {
                     served: false,
                 },
             );
-            for target in targets {
+            for &target in targets {
                 self.net_send(
                     t,
                     gpu.index(),
@@ -441,8 +440,7 @@ impl System {
         // Merge onto an in-flight (not yet served) request for the same
         // translation. Only least-TLB has the pending table (§4.1); the
         // baseline IOMMU walks every arriving request individually.
-        if self.cfg.policy.uses_pending() && self.iommu.pending.is_live(key) {
-            self.iommu.pending.register(key, gpu);
+        if self.cfg.policy.uses_pending() && self.iommu.pending.merge(key, gpu) {
             self.iommu.stats.merged += 1;
             return;
         }
@@ -476,6 +474,9 @@ impl System {
                     },
                 );
             } else {
+                if self.cfg.policy.uses_pending() {
+                    self.iommu.pending.mark_walk(key);
+                }
                 self.launch_walk(t.after(tlb_latency), gpu, key, recording, idx);
             }
             return;
@@ -515,15 +516,16 @@ impl System {
             None => {
                 // Tracker lookup happens in parallel with the TLB lookup
                 // (paper Fig. 9 ①②); on a positive, the probe and the walk
-                // race (Algorithm 1 lines 12-20).
-                let mut probe_sent = false;
+                // race (Algorithm 1 lines 12-20). least-TLB races them; the
+                // serialized variant (Fig. 20's comparison line) walks only
+                // after a probe miss.
+                let mut walk = true;
                 if self.cfg.policy.uses_pending() {
-                    self.iommu.pending.register(key, gpu);
                     let target = self.tracker.as_mut().and_then(|tr| tr.query(key, gpu));
+                    walk = !(target.is_some() && self.cfg.policy.serialize_remote);
+                    self.iommu.pending.launch(key, gpu, target.is_some(), walk);
                     if let Some(target) = target {
                         self.iommu.stats.probes += 1;
-                        self.iommu.pending.mark_probe(key);
-                        probe_sent = true;
                         // The probe travels the requester→holder inter-GPU
                         // distance (paper Fig. 9 ③ charges one inter-GPU
                         // traversal), so it enters the fabric at the
@@ -535,16 +537,15 @@ impl System {
                         );
                     }
                 }
-                // least-TLB races probe and walk; the serialized variant
-                // (Fig. 20's comparison line) walks only after a probe
-                // miss.
-                if !(probe_sent && self.cfg.policy.serialize_remote) {
+                if walk {
                     self.launch_walk(t.after(tlb_latency), gpu, key, recording, idx);
                 }
             }
         }
     }
 
+    /// Starts the page-table walk (or PRI fault) for `key`. Under the
+    /// pending table the caller has already counted the walk there.
     fn launch_walk(
         &mut self,
         t: Cycle,
@@ -553,9 +554,6 @@ impl System {
         recording: bool,
         idx: usize,
     ) {
-        if self.cfg.policy.uses_pending() {
-            self.iommu.pending.mark_walk(key);
-        }
         match self.walk_key(key) {
             Some(walk) => {
                 self.iommu.stats.walks += 1;
@@ -616,12 +614,12 @@ impl System {
         if self.cfg.policy.uses_pending() {
             match self.iommu.pending.walk_result(key) {
                 Some(waiters) => {
-                    self.deliver_walk_result(t, key, frame, &waiters, Resolution::Walk);
+                    self.deliver_walk_result(t, key, frame, waiters, Resolution::Walk);
                 }
                 None => self.iommu.stats.wasted_walks += 1,
             }
         } else {
-            self.deliver_walk_result(t, key, frame, &[requester], Resolution::Walk);
+            self.deliver_walk_result(t, key, frame, WaitList::one(requester), Resolution::Walk);
         }
         // Start the next queued walk on the freed walker.
         if let Some(req) = self.iommu.walkers.complete() {
@@ -644,10 +642,10 @@ impl System {
     fn on_fault_done(&mut self, t: Cycle, key: TranslationKey, frame: PhysPage, requester: GpuId) {
         if self.cfg.policy.uses_pending() {
             if let Some(waiters) = self.iommu.pending.walk_result(key) {
-                self.deliver_walk_result(t, key, frame, &waiters, Resolution::Fault);
+                self.deliver_walk_result(t, key, frame, waiters, Resolution::Fault);
             }
         } else {
-            self.deliver_walk_result(t, key, frame, &[requester], Resolution::Fault);
+            self.deliver_walk_result(t, key, frame, WaitList::one(requester), Resolution::Fault);
         }
     }
 
@@ -659,7 +657,7 @@ impl System {
         t: Cycle,
         key: TranslationKey,
         frame: PhysPage,
-        waiters: &[GpuId],
+        waiters: WaitList<GpuId>,
         res: Resolution,
     ) {
         if let Some(o) = self.obs.as_deref_mut() {
@@ -670,13 +668,13 @@ impl System {
         } else if !self.cfg.policy.is_victim_hierarchy() {
             // Mostly-inclusive baseline: the walk fill populates the IOMMU
             // TLB too (paper §2.2 step ⑤).
-            let origin = waiters.first().copied().unwrap_or(GpuId(0));
+            let origin = waiters.first().unwrap_or(GpuId(0));
             self.insert_iommu(t, key, frame, self.cfg.policy.spill_credits, origin, 0);
         }
         // least-inclusive: the translation goes only to the requesting L2
         // (paper Algorithm 1 lines 12-14).
         let iommu = self.fabric.iommu_node();
-        for &gpu in waiters {
+        for gpu in waiters {
             self.net_send(
                 t,
                 iommu,
@@ -699,7 +697,9 @@ impl System {
         let Some(waiters) = self.iommu.pending.probe_result(key, hit.is_some()) else {
             // Serialized-probe mode: a probe miss now falls back to the
             // page-table walk it skipped at lookup time.
-            if hit.is_none() && self.cfg.policy.serialize_remote && self.iommu.pending.is_live(key)
+            if hit.is_none()
+                && self.cfg.policy.serialize_remote
+                && self.iommu.pending.walk_if_live(key)
             {
                 let idx = usize::from(key.asid.0);
                 let recording = self.apps[idx].recording;
@@ -941,9 +941,10 @@ impl System {
         key: TranslationKey,
         hit: Option<PhysPage>,
     ) {
-        let Some(state) = self.ring_pending.get_mut(&(origin, key)) else {
+        let FlatEntry::Occupied(mut slot) = self.ring_pending.entry((origin, key)) else {
             return;
         };
+        let state = slot.get_mut();
         state.remaining -= 1;
         let mut serve = None;
         if !state.served {
@@ -955,7 +956,7 @@ impl System {
         let finished = state.remaining == 0;
         let served = state.served;
         if finished {
-            self.ring_pending.remove(&(origin, key));
+            slot.remove();
         }
         if let Some(frame) = serve {
             let idx = usize::from(key.asid.0);

@@ -8,7 +8,7 @@ use filters::{LocalTlbTracker, TrackerBackend};
 use gcn_model::Gpu;
 use iommu::{Iommu, WalkerScheduler};
 use mgpu_types::{
-    Asid, Cycle, DetMap, DetSet, GpuId, PageSize, PhysPage, TranslationKey, VirtPage,
+    Asid, Cycle, DetSet, FlatMap, GpuId, PageSize, PhysPage, TranslationKey, VirtPage,
 };
 use obs::Resolution;
 use pagetable::{FrameAllocator, PageTable, Walk};
@@ -405,7 +405,7 @@ pub struct System {
     /// Infinite-IOMMU policy membership set.
     pub(crate) infinite_seen: DetSet<TranslationKey>,
     /// In-flight ring probes (§5.5 policy).
-    pub(crate) ring_pending: DetMap<(GpuId, TranslationKey), RingState>,
+    pub(crate) ring_pending: FlatMap<(GpuId, TranslationKey), RingState>,
     /// Per-GPU local page-table presence (§5.3 system).
     pub(crate) local_pt: Vec<DetSet<TranslationKey>>,
     /// Per-GPU local walkers (§5.3 system).
@@ -605,7 +605,7 @@ impl System {
             apps,
             lane_owner,
             infinite_seen: DetSet::new(),
-            ring_pending: DetMap::new(),
+            ring_pending: FlatMap::new(),
             local_pt: vec![DetSet::new(); cfg.gpus],
             gpu_walkers: (0..cfg.gpus)
                 .map(|_| WalkerScheduler::new(cfg.iommu.walkers, cfg.iommu.walker_mode))

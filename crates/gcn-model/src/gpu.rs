@@ -95,7 +95,7 @@ impl Gpu {
                 .map(|_| ComputeUnit::new(config.l1_tlb, config.wavefronts_per_cu))
                 .collect(),
             l2_tlb: Tlb::new(config.l2_tlb),
-            mshrs: MshrTable::unbounded(),
+            mshrs: MshrTable::new(),
             stats: GpuStats::default(),
         }
     }
@@ -213,7 +213,7 @@ mod tests {
         assert_eq!(g.l2_miss(key(9), w0), MshrOutcome::Primary);
         assert_eq!(g.l2_miss(key(9), w1), MshrOutcome::Secondary);
         assert_eq!(g.stats.ats_sent, 1, "one ATS per distinct page");
-        assert_eq!(g.mshrs.drain(key(9)), vec![w0, w1]);
+        assert_eq!(Vec::from(g.mshrs.drain(key(9))), vec![w0, w1]);
     }
 
     #[test]

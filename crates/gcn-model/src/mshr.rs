@@ -1,6 +1,6 @@
 //! Miss-status holding registers for the per-GPU L2 TLB.
 
-use mgpu_types::{CuId, DetMap, TranslationKey, WavefrontId};
+use mgpu_types::{CuId, FlatEntry, FlatMap, TranslationKey, WaitList, WavefrontId};
 
 /// A wavefront waiting on an outstanding translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,10 +23,10 @@ pub enum MshrOutcome {
 
 /// MSHR table: coalesces concurrent L2 TLB misses to the same translation.
 ///
-/// Real GCN L2 TLBs have a bounded MSHR count; the table accepts a capacity
-/// and reports [`MshrTable::is_full`] so the driver can stall primaries, but
-/// the paper's configuration does not bound them, so the default capacity is
-/// effectively unlimited.
+/// The paper's configuration does not bound the MSHR count, so neither
+/// does the table. Entries live in a [`FlatMap`]; each register and each
+/// drain finds its entry with one search, and a waiter list allocates
+/// only when a second wavefront merges onto a miss.
 ///
 /// # Examples
 ///
@@ -34,88 +34,56 @@ pub enum MshrOutcome {
 /// use gcn_model::{MshrTable, MshrOutcome, Waiter};
 /// use mgpu_types::{Asid, CuId, TranslationKey, VirtPage, WavefrontId};
 ///
-/// let mut t = MshrTable::unbounded();
+/// let mut t = MshrTable::new();
 /// let key = TranslationKey::new(Asid(0), VirtPage(1));
 /// let w = Waiter { cu: CuId(0), wf: WavefrontId(0) };
 /// assert_eq!(t.register(key, w), MshrOutcome::Primary);
 /// assert_eq!(t.register(key, w), MshrOutcome::Secondary);
 /// assert_eq!(t.drain(key).len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MshrTable {
-    pending: DetMap<TranslationKey, Vec<Waiter>>,
-    capacity: usize,
-    peak: usize,
-    merges: u64,
+    pending: FlatMap<TranslationKey, WaitList<Waiter>>,
 }
 
 impl MshrTable {
-    /// Table with effectively unlimited entries (the paper's model).
+    /// An empty table. Allocates nothing until the first miss.
     #[must_use]
-    pub fn unbounded() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// Table bounded to `capacity` distinct outstanding keys.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        MshrTable {
-            pending: DetMap::new(),
-            capacity,
-            peak: 0,
-            merges: 0,
-        }
-    }
-
-    /// Whether a new primary miss can currently be accepted.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.pending.len() >= self.capacity
-    }
-
-    /// Whether a fill for `key` is outstanding.
-    #[must_use]
-    pub fn is_pending(&self, key: TranslationKey) -> bool {
-        self.pending.contains_key(&key)
+    pub fn new() -> Self {
+        MshrTable::default()
     }
 
     /// Registers `waiter` as waiting on `key`.
     pub fn register(&mut self, key: TranslationKey, waiter: Waiter) -> MshrOutcome {
-        let outcome = if let Some(waiters) = self.pending.get_mut(&key) {
-            waiters.push(waiter);
-            self.merges += 1;
-            MshrOutcome::Secondary
-        } else {
-            self.pending.insert(key, vec![waiter]);
-            MshrOutcome::Primary
-        };
-        self.peak = self.peak.max(self.pending.len());
-        outcome
+        match self.pending.entry(key) {
+            FlatEntry::Occupied(e) => {
+                e.into_mut().push(waiter);
+                MshrOutcome::Secondary
+            }
+            FlatEntry::Vacant(e) => {
+                e.insert(WaitList::one(waiter));
+                MshrOutcome::Primary
+            }
+        }
     }
 
-    /// Completes the fill for `key`, returning every merged waiter (empty if
-    /// no miss was outstanding — e.g. a duplicate response discarded by the
-    /// IOMMU's pending-request table).
-    pub fn drain(&mut self, key: TranslationKey) -> Vec<Waiter> {
-        self.pending.remove(&key).unwrap_or_default()
+    /// Completes the fill for `key`, returning every merged waiter in
+    /// registration order (empty if no miss was outstanding — e.g. a
+    /// duplicate response discarded by the IOMMU's pending-request table).
+    pub fn drain(&mut self, key: TranslationKey) -> WaitList<Waiter> {
+        self.pending.remove(key).unwrap_or_default()
     }
 
     /// Number of distinct outstanding keys.
     #[must_use]
-    pub fn outstanding(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.pending.len()
     }
 
-    /// Highest number of simultaneously outstanding keys observed.
+    /// Whether no miss is outstanding.
     #[must_use]
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Secondary-miss merges performed.
-    #[must_use]
-    pub fn merges(&self) -> u64 {
-        self.merges
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
     }
 }
 
@@ -137,43 +105,22 @@ mod tests {
 
     #[test]
     fn primary_then_secondary() {
-        let mut t = MshrTable::unbounded();
+        let mut t = MshrTable::new();
         assert_eq!(t.register(key(1), waiter(0, 0)), MshrOutcome::Primary);
         assert_eq!(t.register(key(1), waiter(1, 0)), MshrOutcome::Secondary);
         assert_eq!(t.register(key(2), waiter(2, 0)), MshrOutcome::Primary);
-        assert_eq!(t.outstanding(), 2);
-        assert_eq!(t.merges(), 1);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn drain_returns_all_waiters_in_order() {
-        let mut t = MshrTable::unbounded();
+        let mut t = MshrTable::new();
         t.register(key(1), waiter(0, 0));
         t.register(key(1), waiter(0, 1));
         t.register(key(1), waiter(3, 2));
-        let drained = t.drain(key(1));
+        let drained = Vec::from(t.drain(key(1)));
         assert_eq!(drained, vec![waiter(0, 0), waiter(0, 1), waiter(3, 2)]);
-        assert!(!t.is_pending(key(1)));
+        assert!(t.is_empty());
         assert!(t.drain(key(1)).is_empty());
-    }
-
-    #[test]
-    fn capacity_limits_primaries() {
-        let mut t = MshrTable::with_capacity(1);
-        t.register(key(1), waiter(0, 0));
-        assert!(t.is_full());
-        // Secondary merges are still fine while full.
-        assert_eq!(t.register(key(1), waiter(0, 1)), MshrOutcome::Secondary);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut t = MshrTable::unbounded();
-        t.register(key(1), waiter(0, 0));
-        t.register(key(2), waiter(0, 1));
-        t.drain(key(1));
-        t.drain(key(2));
-        assert_eq!(t.peak(), 2);
-        assert_eq!(t.outstanding(), 0);
     }
 }

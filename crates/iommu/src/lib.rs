@@ -28,7 +28,7 @@ mod pending;
 mod pri;
 mod walker;
 
-pub use pending::{PendingOutcome, PendingTable};
+pub use pending::PendingTable;
 pub use pri::{PriBatcher, PriConfig};
 pub use walker::{WalkRequest, WalkerMode, WalkerScheduler};
 

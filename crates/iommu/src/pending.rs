@@ -13,21 +13,11 @@
 //! re-armed for a fresh walk, and any straggler responder from the previous
 //! generation is allowed to serve the new waiters early.
 
-use mgpu_types::{DetMap, GpuId, TranslationKey};
-
-/// Result of registering a request in the pending table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PendingOutcome {
-    /// No live entry existed — the caller must launch a walk (and possibly
-    /// a probe).
-    Launched,
-    /// A live entry existed — the requester was merged onto it.
-    Merged,
-}
+use mgpu_types::{FlatEntry, FlatMap, GpuId, TranslationKey, WaitList};
 
 #[derive(Debug, Clone)]
 struct PendingEntry {
-    waiters: Vec<GpuId>,
+    waiters: WaitList<GpuId>,
     served: bool,
     walks: u32,
     probes: u32,
@@ -41,28 +31,36 @@ impl PendingEntry {
 
 /// Table of translations with an in-flight walk and/or remote probe.
 ///
+/// Entries live in a [`FlatMap`], and each call except
+/// [`register`](Self::register) finds its entry with one search. An
+/// arriving request calls [`merge`](Self::merge) and, when nothing was
+/// live, [`launch`](Self::launch) with the responders it sends; each
+/// response calls one of the result methods. Waiters are served in the
+/// order they registered.
+///
 /// # Examples
 ///
 /// ```
-/// use iommu::{PendingTable, PendingOutcome};
+/// use iommu::PendingTable;
 /// use mgpu_types::{Asid, GpuId, TranslationKey, VirtPage};
 ///
 /// let mut t = PendingTable::new();
 /// let key = TranslationKey::new(Asid(0), VirtPage(8));
-/// assert_eq!(t.register(key, GpuId(0)), PendingOutcome::Launched);
-/// t.mark_walk(key);
-/// assert_eq!(t.register(key, GpuId(1)), PendingOutcome::Merged);
+/// assert!(!t.merge(key, GpuId(0)), "nothing in flight yet");
+/// t.launch(key, GpuId(0), false, true);
+/// assert!(t.merge(key, GpuId(1)));
 /// // The walk returns and serves GPUs 0 and 1:
-/// assert_eq!(t.walk_result(key), Some(vec![GpuId(0), GpuId(1)]));
+/// let served = t.walk_result(key).map(Vec::from);
+/// assert_eq!(served, Some(vec![GpuId(0), GpuId(1)]));
 /// assert!(t.is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PendingTable {
-    entries: DetMap<TranslationKey, PendingEntry>,
+    entries: FlatMap<TranslationKey, PendingEntry>,
 }
 
 impl PendingTable {
-    /// Creates an empty table.
+    /// Creates an empty table. Allocates nothing until the first request.
     #[must_use]
     pub fn new() -> Self {
         PendingTable::default()
@@ -84,40 +82,63 @@ impl PendingTable {
     /// requesters may merge onto.
     #[must_use]
     pub fn is_live(&self, key: TranslationKey) -> bool {
-        self.entries.get(&key).is_some_and(|e| !e.served)
+        self.entries.get(key).is_some_and(|e| !e.served)
     }
 
-    /// Registers `requester` as waiting on `key`: merges onto a live
-    /// entry, or creates/re-arms one (the caller must then launch a walk).
-    pub fn register(&mut self, key: TranslationKey, requester: GpuId) -> PendingOutcome {
-        match self.entries.get_mut(&key) {
+    /// Merges `requester` onto the live entry for `key` (once per GPU).
+    /// Returns `false`, changing nothing, when no live entry exists.
+    pub fn merge(&mut self, key: TranslationKey, requester: GpuId) -> bool {
+        match self.entries.get_mut(key) {
             Some(e) if !e.served => {
-                if !e.waiters.contains(&requester) {
+                if !e.waiters.contains(requester) {
                     e.waiters.push(requester);
                 }
-                PendingOutcome::Merged
+                true
             }
-            Some(e) => {
-                // Tombstone: re-arm for a new generation. Straggler
-                // responders from the old generation remain counted and
-                // may serve the new waiters early.
+            _ => false,
+        }
+    }
+
+    /// Starts a request generation for `key` with `requester` as its only
+    /// waiter, counting the responders launched for it (a remote `probe`,
+    /// a `walk`). Call it when [`merge`](Self::merge) found nothing live.
+    ///
+    /// A tombstone is re-armed: straggler responders from the old
+    /// generation remain counted and may serve the new waiter early.
+    pub fn launch(&mut self, key: TranslationKey, requester: GpuId, probe: bool, walk: bool) {
+        let (probes, walks) = (u32::from(probe), u32::from(walk));
+        match self.entries.entry(key) {
+            FlatEntry::Occupied(e) => {
+                let e = e.into_mut();
+                if cfg!(any(debug_assertions, feature = "check")) {
+                    assert!(e.served, "launch over a live entry drops its waiters");
+                }
                 e.served = false;
-                e.waiters.clear();
-                e.waiters.push(requester);
-                PendingOutcome::Launched
+                // A served entry's waiters were handed out when it was
+                // served, so the new generation starts from this one.
+                e.waiters = WaitList::one(requester);
+                e.probes += probes;
+                e.walks += walks;
             }
-            None => {
-                self.entries.insert(
-                    key,
-                    PendingEntry {
-                        waiters: vec![requester],
-                        served: false,
-                        walks: 0,
-                        probes: 0,
-                    },
-                );
-                PendingOutcome::Launched
+            FlatEntry::Vacant(e) => {
+                e.insert(PendingEntry {
+                    waiters: WaitList::one(requester),
+                    served: false,
+                    walks,
+                    probes,
+                });
             }
+        }
+    }
+
+    /// Registers `requester` as waiting on `key`: merges onto a live entry
+    /// (returns `true`), or creates or re-arms one with no responder
+    /// counted yet (returns `false`; the caller then launches a walk and
+    /// records it with [`mark_walk`](Self::mark_walk)).
+    pub fn register(&mut self, key: TranslationKey, requester: GpuId) -> bool {
+        self.merge(key, requester) || {
+            self.launch(key, requester, false, false);
+            false
         }
     }
 
@@ -130,43 +151,42 @@ impl PendingTable {
     /// requests.
     pub fn mark_walk(&mut self, key: TranslationKey) {
         self.entries
-            .get_mut(&key)
+            .get_mut(key)
             // sim-lint: allow(panic-reach, reason = "documented API contract: walks are only launched for registered requests")
             .expect("walk launched without a pending entry")
             .walks += 1;
     }
 
-    /// Records that a remote probe was launched for `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no entry exists.
-    pub fn mark_probe(&mut self, key: TranslationKey) {
-        self.entries
-            .get_mut(&key)
-            // sim-lint: allow(panic-reach, reason = "documented API contract: probes are only launched for registered requests")
-            .expect("probe launched without a pending entry")
-            .probes += 1;
+    /// Records a walk for `key` if its entry is live (the serialized
+    /// variant's walk after a probe miss). Returns whether it did.
+    pub fn walk_if_live(&mut self, key: TranslationKey) -> bool {
+        match self.entries.get_mut(key) {
+            Some(e) if !e.served => {
+                e.walks += 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// A walk (or fault) completes. Returns the waiters to serve if this
     /// response wins the race, or `None` if the entry was already served
     /// (duplicate discarded, paper §4.1).
-    pub fn walk_result(&mut self, key: TranslationKey) -> Option<Vec<GpuId>> {
-        let e = self.entries.get_mut(&key)?;
+    pub fn walk_result(&mut self, key: TranslationKey) -> Option<WaitList<GpuId>> {
+        let FlatEntry::Occupied(mut slot) = self.entries.entry(key) else {
+            return None;
+        };
+        let e = slot.get_mut();
         if cfg!(any(debug_assertions, feature = "check")) {
             assert!(e.walks > 0, "walk completion without outstanding walk");
         }
         e.walks = e.walks.saturating_sub(1);
-        let won = !e.served;
-        let waiters = if won {
+        let waiters = (!e.served).then(|| {
             e.served = true;
-            Some(std::mem::take(&mut e.waiters))
-        } else {
-            None
-        };
+            std::mem::take(&mut e.waiters)
+        });
         if e.finished() {
-            self.entries.remove(&key);
+            slot.remove();
         }
         waiters
     }
@@ -174,31 +194,32 @@ impl PendingTable {
     /// The queued (never-started) walk for `key` was cancelled because the
     /// probe won the race while the walk sat in the walker backlog.
     pub fn cancel_walk(&mut self, key: TranslationKey) {
-        if let Some(e) = self.entries.get_mut(&key) {
+        if let FlatEntry::Occupied(mut slot) = self.entries.entry(key) {
+            let e = slot.get_mut();
             e.walks = e.walks.saturating_sub(1);
             if e.finished() {
-                self.entries.remove(&key);
+                slot.remove();
             }
         }
     }
 
     /// A remote probe returns. Returns the waiters to serve if the probe
     /// hit and wins the race; `None` on a miss or a lost race.
-    pub fn probe_result(&mut self, key: TranslationKey, hit: bool) -> Option<Vec<GpuId>> {
-        let e = self.entries.get_mut(&key)?;
+    pub fn probe_result(&mut self, key: TranslationKey, hit: bool) -> Option<WaitList<GpuId>> {
+        let FlatEntry::Occupied(mut slot) = self.entries.entry(key) else {
+            return None;
+        };
+        let e = slot.get_mut();
         if cfg!(any(debug_assertions, feature = "check")) {
             assert!(e.probes > 0, "probe completion without outstanding probe");
         }
         e.probes = e.probes.saturating_sub(1);
-        let won = hit && !e.served;
-        let waiters = if won {
+        let waiters = (hit && !e.served).then(|| {
             e.served = true;
-            Some(std::mem::take(&mut e.waiters))
-        } else {
-            None
-        };
+            std::mem::take(&mut e.waiters)
+        });
         if e.finished() {
-            self.entries.remove(&key);
+            slot.remove();
         }
         waiters
     }
@@ -213,32 +234,44 @@ mod tests {
         TranslationKey::new(Asid(0), VirtPage(v))
     }
 
+    fn gpus(served: Option<WaitList<GpuId>>) -> Option<Vec<GpuId>> {
+        served.map(Vec::from)
+    }
+
     #[test]
     fn walk_only_lifecycle() {
         let mut t = PendingTable::new();
-        assert_eq!(t.register(key(1), GpuId(0)), PendingOutcome::Launched);
-        t.mark_walk(key(1));
+        assert!(!t.merge(key(1), GpuId(0)));
+        assert!(t.is_empty(), "a failed merge changes nothing");
+        t.launch(key(1), GpuId(0), false, true);
         assert!(t.is_live(key(1)));
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(0)]));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0)]));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn register_then_mark_walk_matches_launch() {
+        let mut t = PendingTable::new();
+        assert!(!t.register(key(1), GpuId(0)));
+        t.mark_walk(key(1));
+        assert!(t.register(key(1), GpuId(1)));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0), GpuId(1)]));
         assert!(t.is_empty());
     }
 
     #[test]
     fn duplicate_waiters_are_deduped() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(2));
-        t.mark_walk(key(1));
-        t.register(key(1), GpuId(2));
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(2)]));
+        t.launch(key(1), GpuId(2), false, true);
+        assert!(t.merge(key(1), GpuId(2)));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(2)]));
     }
 
     #[test]
     fn probe_wins_then_walk_discarded() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        t.mark_probe(key(1));
-        assert_eq!(t.probe_result(key(1), true), Some(vec![GpuId(0)]));
+        t.launch(key(1), GpuId(0), true, true);
+        assert_eq!(gpus(t.probe_result(key(1), true)), Some(vec![GpuId(0)]));
         assert!(!t.is_live(key(1)), "tombstone awaits the walk");
         assert!(!t.is_empty());
         assert!(t.walk_result(key(1)).is_none(), "duplicate discarded");
@@ -248,10 +281,8 @@ mod tests {
     #[test]
     fn walk_wins_then_probe_miss_cleans_up() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        t.mark_probe(key(1));
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(0)]));
+        t.launch(key(1), GpuId(0), true, true);
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0)]));
         assert!(!t.is_empty());
         assert!(t.probe_result(key(1), false).is_none());
         assert!(t.is_empty());
@@ -260,13 +291,22 @@ mod tests {
     #[test]
     fn probe_miss_before_walk_keeps_entry_live() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        t.mark_probe(key(1));
+        t.launch(key(1), GpuId(0), true, true);
         assert!(t.probe_result(key(1), false).is_none());
         assert!(t.is_live(key(1)), "walk still owes a response");
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(0)]));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0)]));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn serialized_probe_miss_then_walk() {
+        let mut t = PendingTable::new();
+        t.launch(key(1), GpuId(0), true, false);
+        assert!(t.probe_result(key(1), false).is_none());
+        assert!(t.walk_if_live(key(1)));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0)]));
+        assert!(t.is_empty());
+        assert!(!t.walk_if_live(key(1)), "nothing live to walk for");
     }
 
     #[test]
@@ -275,16 +315,14 @@ mod tests {
         // is still out; a NEW request arrives; it must not merge onto the
         // tombstone.
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        t.mark_probe(key(1));
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(0)]));
+        t.launch(key(1), GpuId(0), true, true);
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0)]));
         // New request while the old probe is still in flight.
         assert!(!t.is_live(key(1)));
-        assert_eq!(t.register(key(1), GpuId(2)), PendingOutcome::Launched);
-        t.mark_walk(key(1));
+        assert!(!t.merge(key(1), GpuId(2)));
+        t.launch(key(1), GpuId(2), false, true);
         // The straggler probe returns with a hit: it may serve GPU2 early.
-        assert_eq!(t.probe_result(key(1), true), Some(vec![GpuId(2)]));
+        assert_eq!(gpus(t.probe_result(key(1), true)), Some(vec![GpuId(2)]));
         // The new walk's result is then discarded.
         assert!(t.walk_result(key(1)).is_none());
         assert!(t.is_empty());
@@ -293,15 +331,12 @@ mod tests {
     #[test]
     fn straggler_probe_miss_leaves_new_walk_live() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        t.mark_probe(key(1));
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(0)]));
-        t.register(key(1), GpuId(3));
-        t.mark_walk(key(1));
+        t.launch(key(1), GpuId(0), true, true);
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0)]));
+        t.launch(key(1), GpuId(3), false, true);
         assert!(t.probe_result(key(1), false).is_none());
         assert!(t.is_live(key(1)));
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(3)]));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(3)]));
         assert!(t.is_empty());
     }
 
@@ -315,11 +350,9 @@ mod tests {
     #[test]
     fn cancelled_walk_cleans_up_served_entries() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        t.mark_probe(key(1));
+        t.launch(key(1), GpuId(0), true, true);
         // Probe wins; the queued walk is cancelled instead of completing.
-        assert_eq!(t.probe_result(key(1), true), Some(vec![GpuId(0)]));
+        assert_eq!(gpus(t.probe_result(key(1), true)), Some(vec![GpuId(0)]));
         t.cancel_walk(key(1));
         assert!(t.is_empty(), "cancel releases the tombstone");
         // Cancelling an unknown key is a no-op.
@@ -329,10 +362,9 @@ mod tests {
     #[test]
     fn merged_requesters_all_served() {
         let mut t = PendingTable::new();
-        t.register(key(1), GpuId(0));
-        t.mark_walk(key(1));
-        assert_eq!(t.register(key(1), GpuId(3)), PendingOutcome::Merged);
+        t.launch(key(1), GpuId(0), false, true);
+        assert!(t.merge(key(1), GpuId(3)));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.walk_result(key(1)), Some(vec![GpuId(0), GpuId(3)]));
+        assert_eq!(gpus(t.walk_result(key(1))), Some(vec![GpuId(0), GpuId(3)]));
     }
 }

@@ -22,8 +22,10 @@
 #![warn(missing_docs)]
 
 mod det;
+mod flat;
 
 pub use det::{DetMap, DetSet};
+pub use flat::{FlatEntry, FlatKey, FlatMap, OccupiedEntry, VacantEntry, WaitList};
 
 use std::fmt;
 
